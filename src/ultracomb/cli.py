@@ -33,7 +33,8 @@ from .sampling import (padic_comb, reduce_population_tree, sample_cpp,
 from .spectrum import (normalized_tail_spectrum, sample_kingman_allelic_partition,
                        spectrum_of_partition)
 
-STOCHASTIC_MODELS = {"kingman", "cpp-brownian", "cpp-critical-bd", "cpp-from-W", "splitting"}
+CPP_MODELS = ("cpp-brownian", "cpp-critical-bd", "cpp-from-W")
+STOCHASTIC_MODELS = {"kingman", *CPP_MODELS, "splitting"}
 
 
 def _fmt(x: float) -> str:
@@ -115,11 +116,10 @@ def _run_sharded(worker, replicates: range, jobs: int, payload: tuple) -> list:
 # ----------------------------------------------------------------------
 # sample
 
-def _sample_one(args, rng: RandomSource) -> dict:
+def _sample_one(args, rng: RandomSource, model: IntensityModel | None) -> dict:
     if args.model == "kingman":
         return sample_kingman_comb(args.n_teeth, rng).to_dict()
-    if args.model in ("cpp-brownian", "cpp-critical-bd", "cpp-from-W"):
-        model = _intensity_for(args)
+    if args.model in CPP_MODELS:
         cpps = sample_cpp(model, args.T, args.eps, rng)
         doc = cpps.comb.to_dict()
         # null when the model cannot resolve the tail past the horizon
@@ -137,7 +137,9 @@ def _sample_one(args, rng: RandomSource) -> dict:
 def _sample_worker(payload, replicates: range) -> list[dict]:
     args, = payload
     root = RandomSource(args.seed if args.seed is not None else 0)
-    return [_sample_one(args, root.spawn(r)) for r in replicates]
+    # one intensity (and one scale solve for cpp-from-W) per shard
+    model = _intensity_for(args) if replicates and args.model in CPP_MODELS else None
+    return [_sample_one(args, root.spawn(r), model) for r in replicates]
 
 
 def cmd_sample(args) -> int:

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.cluster.hierarchy import cophenet, linkage
+from scipy.spatial.distance import squareform
 
 from .errors import ValidationError
 from .tree import Tree, TreeNode
@@ -328,12 +330,13 @@ def ball_partition(comb: Comb, positions: Sequence[float], radius: float) -> Par
     return Partition(tuple(frozenset(b) for b in blocks))
 
 
-def validate_ultrametric(matrix: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
-    """Check a matrix is a valid ultrametric on distinct points.
+def _checked_linkage(matrix, rtol: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`validate_ultrametric`, also returning the single-linkage
+    matrix of ``min(d, d.T)`` (None for one point or infinite distances).
 
-    Requires symmetry, zero diagonal, positive off-diagonal entries and
-    the triple inequality d(i,k) <= max(d(i,j), d(j,k)) up to a relative
-    tolerance.  Returns the validated float matrix.
+    The certificate ``d <= cophenet + tol`` is sound: the cophenetic
+    distance of i and k is at most max(d[i,j], d[j,k]) for every j, so it
+    implies every triple inequality.
     """
     d = np.asarray(matrix, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -350,6 +353,12 @@ def validate_ultrametric(matrix: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
         raise ValidationError("off-diagonal distances must be positive (points must be distinct)")
     scale = float(off.max()) if off.size else 0.0
     tol = rtol * scale
+    link = None
+    if n > 1 and math.isfinite(scale):
+        link = linkage(squareform(np.minimum(d, d.T), checks=False), method="single")
+        if np.all(d <= squareform(cophenet(link)) + tol):
+            return d, link
+    # O(n^3) fallback, the only rejection path:
     # d[i, k] <= max(d[i, j], d[j, k]) for all j; chunk j to bound memory
     for j in range(n):
         bound = np.maximum.outer(d[:, j], d[j, :])
@@ -359,7 +368,59 @@ def validate_ultrametric(matrix: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
                 f"ultrametric inequality violated for triple ({i}, {j}, {k}): "
                 f"d={d[i, k]} > max({d[i, j]}, {d[j, k]})"
             )
-    return d
+    return d, link
+
+
+def validate_ultrametric(matrix: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
+    """Check a matrix is a valid ultrametric on distinct points.
+
+    Requires symmetry, zero diagonal, positive off-diagonal entries and
+    the triple inequality d(i,k) <= max(d(i,j), d(j,k)) up to a relative
+    tolerance.  Returns the validated float matrix.
+
+    Cost is O(n^2): a matrix within ``rtol * max(d)`` of the cophenetic
+    distances of its single-linkage hierarchy is accepted without a
+    triple scan.  Only a matrix failing that certificate is scanned
+    triple by triple (O(n^3)), which decides near-misses within the
+    tolerance and names the violating triple on rejection.
+    """
+    return _checked_linkage(matrix, rtol)[0]
+
+
+def _ball_walk(link: np.ndarray | None, n: int) -> tuple[list[int], list[float]]:
+    """Points in comb order, with their visibility masses.
+
+    Single-linkage merges at exactly equal height collapse into one
+    multifurcating ball, whose children are ordered by their smallest
+    point index.  The walk keeps an explicit stack, so deep hierarchies
+    need no recursion.
+    """
+    children: list[list[int]] = []
+    low = list(range(n))  # smallest point index of each cluster id
+    if link is not None:
+        heights = link[:, 2].tolist()
+        for k, (a, b) in enumerate(link[:, :2].astype(np.intp).tolist()):
+            kids: list[int] = []
+            for c in (a, b):
+                if c >= n and heights[c - n] == heights[k]:
+                    kids += children[c - n]
+                else:
+                    kids.append(c)
+            children.append(kids)
+            low.append(min(low[a], low[b]))
+    order: list[int] = []
+    visibility: list[float] = []
+    stack = [(len(low) - 1, 1.0)]
+    while stack:
+        node, vis = stack.pop()
+        if node < n:
+            order.append(node)
+            visibility.append(vis)
+            continue
+        kids = sorted(children[node - n], key=low.__getitem__, reverse=True)
+        vis /= len(kids)
+        stack.extend((c, vis) for c in kids)
+    return order, visibility
 
 
 def comb_from_ultrametric(matrix, masses: Sequence[float] | None = None
@@ -373,11 +434,25 @@ def comb_from_ultrametric(matrix, masses: Sequence[float] | None = None
     total mass 1, split equally among sub-balls at each fragmentation
     (tie diameters fragment independently, i.e. in decreasing order).
 
+    Cost is O(n^2).  The balls come from the single-linkage hierarchy
+    that validation builds (see :func:`validate_ultrametric`); points are
+    laid out left to right with each ball's children ordered by their
+    smallest index, and the tooth between consecutive points p, q has
+    height d[p, q] / 2.  On an exact ultrametric this is the ball
+    construction described above, bit for bit.  A matrix accepted only
+    within the validation tolerance gets the balls of the single-linkage
+    hierarchy of ``min(d, d.T)``, merges at exactly equal height forming
+    one ball.
+
     Returns ``(comb, placements)`` with ``placements[i] = (start, end)``.
     The comb's origin height is set to the diameter (twice the tallest
-    wall), or 1.0 for a single point.
+    wall), or 1.0 for a single point.  Visibility masses halve (or
+    shrink further) at every level, so on deep hierarchies such as
+    caterpillars of 55 or more points they fall below the resolution of
+    the interval; that raises a ValidationError asking for explicit
+    masses.
     """
-    d = validate_ultrametric(matrix)
+    d, link = _checked_linkage(matrix, 1e-9)
     n = d.shape[0]
     if masses is not None:
         m = np.asarray(list(masses), dtype=float)
@@ -387,44 +462,30 @@ def comb_from_ultrametric(matrix, masses: Sequence[float] | None = None
             raise ValidationError("masses must be positive and finite")
     else:
         m = None
+    if n > 1 and link is None:
+        raise ValidationError("distances must be finite to build a comb")
 
-    placements: list[tuple[float, float] | None] = [None] * n
-    teeth: list[tuple[float, float]] = []
+    order, visibility = _ball_walk(link, n)
+    widths = np.asarray(visibility) if m is None else m[order]
+    ends = np.cumsum(widths)
+    starts = np.concatenate(([0.0], ends[:-1]))
+    stalled = np.flatnonzero(ends <= starts)
+    if stalled.size:
+        k = int(stalled[0])
+        cause = ("visibility masses underflow on this deep hierarchy; "
+                 "pass explicit masses (for example unit masses)"
+                 if m is None else "masses span too many orders of magnitude")
+        raise ValidationError(
+            f"point {order[k]} has width {widths[k]}, which does not advance "
+            f"the placement cursor at {starts[k]}: {cause}")
 
-    def mass_of(indices: list[int], visibility: float) -> float:
-        if m is not None:
-            return float(m[indices].sum())
-        return visibility
-
-    def place(indices: list[int], start: float, visibility: float) -> float:
-        if len(indices) == 1:
-            width = mass_of(indices, visibility)
-            placements[indices[0]] = (start, start + width)
-            return start + width
-        sub = d[np.ix_(indices, indices)]
-        diam = float(sub.max())
-        # sub-balls: equivalence classes of d < diam (ultrametric transitivity)
-        remaining = list(indices)
-        children: list[list[int]] = []
-        while remaining:
-            i = remaining[0]
-            block = [j for j in remaining if d[i, j] < diam]
-            children.append(block)
-            remaining = [j for j in remaining if j not in block]
-        children.sort(key=min)
-        child_vis = visibility / len(children)
-        cursor = start
-        for k, child in enumerate(children):
-            if k > 0:
-                teeth.append((cursor, diam / 2.0))
-            cursor = place(child, cursor, child_vis)
-        return cursor
-
-    total = place(list(range(n)), 0.0, 1.0)
+    heights = d[order[:-1], order[1:]] / 2.0
     diam = float(d.max())
     origin = diam if diam > 0.0 else 1.0
-    comb = Comb(total, origin, teeth)
-    return comb, [p for p in placements if p is not None]
+    comb = Comb.from_arrays(float(ends[-1]), origin, ends[:-1], heights)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    return comb, list(zip(starts[rank].tolist(), ends[rank].tolist()))
 
 
 def comb_to_tree(comb: Comb) -> Tree:

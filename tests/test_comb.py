@@ -6,12 +6,15 @@ import json
 
 import numpy as np
 import pytest
+from scipy.cluster.hierarchy import cophenet, linkage
+from scipy.spatial.distance import squareform
 
 from ultracomb import (BoundaryPoint, Comb, Partition, ValidationError,
                        ball_partition, comb_distance, comb_from_ultrametric,
                        comb_to_tree, parse_newick, validate_ultrametric)
 
 from conftest import random_comb
+from reference_ultrametric import reference_comb_from_ultrametric, reference_validate
 
 EXAMPLE = Comb(1.0, 4.0, [(0.2, 3.0), (0.5, 1.0), (0.8, 2.0)])
 
@@ -203,6 +206,110 @@ def test_non_ultrametric_rejected():
         validate_ultrametric([[0.0, 1.0], [1.0, 0.1]])  # asymmetric
     with pytest.raises(ValidationError):
         validate_ultrametric([[0.0, 0.0], [0.0, 0.0]])  # coincident points
+
+
+def comb_matrix(heights: np.ndarray) -> np.ndarray:
+    """Distances between the inter-tooth intervals of a comb with these
+    tooth heights: twice the tallest tooth between two intervals."""
+    n = heights.size + 1
+    d = np.zeros((n, n))
+    for i in range(n - 1):
+        d[i, i + 1:] = 2.0 * np.maximum.accumulate(heights[i:])
+    return d + d.T
+
+
+def caterpillar(n: int) -> np.ndarray:
+    """Point i splits off the rest at level n - i: depth n - 1."""
+    idx = np.arange(n)
+    d = (n - np.minimum.outer(idx, idx)).astype(float)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def oracle_cases(seed: int, count: int):
+    """Exact ultrametrics with ties, permuted point order and optional masses."""
+    gen = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(gen.integers(1, 40))
+        heights = 0.05 + gen.random(n - 1)
+        if gen.random() < 0.5:
+            heights = np.round(heights * 4.0) / 4.0 + 0.25  # many tied heights
+        d = comb_matrix(heights)
+        perm = gen.permutation(n)
+        masses = 0.1 + gen.random(n) if gen.random() < 0.5 else None
+        yield d[np.ix_(perm, perm)], masses
+
+
+def test_rebuild_matches_reference_oracle():
+    for d, masses in oracle_cases(110, 400):
+        comb, placements = comb_from_ultrametric(d, masses)
+        ref_comb, ref_placements = reference_comb_from_ultrametric(d, masses)
+        assert comb == ref_comb
+        assert placements == ref_placements
+
+
+def outcome(fn, d):
+    try:
+        return fn(d).tolist()
+    except ValidationError as exc:
+        return str(exc)
+
+
+def chain(n: int, step: float) -> np.ndarray:
+    """Neighbours at distance 1, each further point ``step`` further away:
+    within the default tolerance of an ultrametric, but not of the
+    single-linkage ultrametric once ``(n - 2) * step`` exceeds it."""
+    idx = np.arange(n)
+    gap = np.abs(np.subtract.outer(idx, idx))
+    return np.where(gap > 0, 1.0 + (gap - 1) * step, 0.0)
+
+
+def test_validation_decides_like_triple_scan():
+    gen = np.random.default_rng(111)
+    cases = [chain(n, step) for n in range(3, 9) for step in (0.3e-9, 0.6e-9, 1.1e-9)]
+    for d, _ in oracle_cases(112, 300):
+        n = d.shape[0]
+        if n < 3:
+            continue
+        d = d.copy()
+        i, k = gen.choice(n, 2, replace=False)
+        d[i, k] = d[k, i] = d[i, k] * (1.0 + gen.choice([-1e-3, -1e-10, 1e-10, 2e-9, 1e-3]))
+        cases.append(d)
+    outcomes = [outcome(validate_ultrametric, d) for d in cases]
+    assert outcomes == [outcome(reference_validate, d) for d in cases]
+    rejected = sum(isinstance(got, str) for got in outcomes)
+    assert 0 < rejected < len(cases)
+
+
+def test_rtol_chain_passes_triples_but_not_certificate():
+    # every triple holds within tol, but d[0, 3] exceeds the single-linkage
+    # distance 1 by 1.2 tol; the triple scan accepts it
+    d = chain(4, 0.6e-9)
+    single = squareform(cophenet(linkage(squareform(d), method="single")))
+    assert not np.all(d <= single + 1e-9 * d.max())
+    assert np.array_equal(validate_ultrametric(d), reference_validate(d))
+    comb, placements = comb_from_ultrametric(d)
+    assert len(placements) == 4
+
+
+def test_visibility_underflow_names_the_remedy():
+    d = caterpillar(60)
+    with pytest.raises(ValidationError, match="visibility masses underflow.*explicit masses"):
+        comb_from_ultrametric(d)
+    comb, placements = comb_from_ultrametric(d, np.ones(60))
+    assert comb.n_teeth == 59
+    with pytest.raises(ValidationError, match="masses span too many orders"):
+        comb_from_ultrametric(caterpillar(3), [1e20, 1.0, 1.0])
+
+
+def test_deep_caterpillar_rebuilds_without_recursion():
+    n = 1200
+    d = caterpillar(n)
+    comb, placements = comb_from_ultrametric(d, np.ones(n))
+    assert comb.interval_length == n
+    assert placements[0] == (0.0, 1.0)
+    # point i sits in slot i, and the tooth after it is half its split level
+    assert np.array_equal(comb.heights, (n - np.arange(n - 1)) / 2.0)
 
 
 # ----------------------------------------------------------------------
