@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.cluster.hierarchy import cophenet, linkage
-from scipy.spatial.distance import squareform
 
 from .errors import ValidationError
 from .tree import Tree, TreeNode
@@ -355,6 +353,10 @@ def _checked_linkage(matrix, rtol: float) -> tuple[np.ndarray, np.ndarray | None
     tol = rtol * scale
     link = None
     if n > 1 and math.isfinite(scale):
+        # imported on first use, so the sampling paths do not pay for it
+        from scipy.cluster.hierarchy import cophenet, linkage
+        from scipy.spatial.distance import squareform
+
         link = linkage(squareform(np.minimum(d, d.T), checks=False), method="single")
         if np.all(d <= squareform(cophenet(link)) + tol):
             return d, link
