@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -70,11 +71,18 @@ def _intensity_for(args) -> IntensityModel:
     raise ValidationError(f"model {args.model!r} has no intensity")
 
 
+def _read_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"malformed JSON in {path!r}: {exc}") from exc
+
+
 def _load_model_spec(path: str | None) -> dict:
     if not path:
         raise ValidationError("--model-spec is required for this model")
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = _read_json(path)
     try:
         birth = raw["birth_rate"]
         if isinstance(birth, dict):
@@ -96,13 +104,14 @@ def _require_seed(args) -> None:
 
 
 def _shard(reps: int, jobs: int) -> list[range]:
+    jobs = max(1, min(jobs, os.cpu_count() or 1))  # one shard per worker, one worker per CPU
     bounds = np.linspace(0, reps, jobs + 1).astype(int)
     return [range(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
 def _run_sharded(worker, replicates: range, jobs: int, payload: tuple) -> list:
     """Run worker(payload, replicate_range) over shards; merge in order."""
-    shards = _shard(len(replicates), max(1, jobs))
+    shards = _shard(len(replicates), jobs)
     if len(shards) <= 1:
         return worker(payload, replicates)
     out: list = []
@@ -158,8 +167,7 @@ def cmd_sample(args) -> int:
 # mutate
 
 def _load_comb(path: str, index: int) -> Comb:
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = _read_json(path)
     if "teeth" in raw:
         return Comb.from_dict(raw)
     if "results" in raw:
@@ -260,8 +268,7 @@ def cmd_solve_w(args) -> int:
 # treecode
 
 def cmd_treecode(args) -> int:
-    with open(getattr(args, "in")) as fh:
-        contour = ContourFunction.from_dict(json.load(fh))
+    contour = ContourFunction.from_dict(_read_json(getattr(args, "in")))
     if args.to == "newick":
         _write_text(args.out, tree_from_contour(contour).newick() + "\n")
     else:

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .tree import Tree, TreeNode
+from .tree import Tree, _tree_from_separators
 
 __all__ = [
     "Comb",
@@ -330,7 +330,7 @@ def ball_partition(comb: Comb, positions: Sequence[float], radius: float) -> Par
 
 def _checked_linkage(matrix, rtol: float) -> tuple[np.ndarray, np.ndarray | None]:
     """:func:`validate_ultrametric`, also returning the single-linkage
-    matrix of ``min(d, d.T)`` (None for one point or infinite distances).
+    matrix of ``min(d, d.T)`` (None for one point).
 
     The certificate ``d <= cophenet + tol`` is sound: the cophenetic
     distance of i and k is at most max(d[i,j], d[j,k]) for every j, so it
@@ -349,10 +349,11 @@ def _checked_linkage(matrix, rtol: float) -> tuple[np.ndarray, np.ndarray | None
     off = d[~np.eye(n, dtype=bool)]
     if off.size and np.any(off <= 0.0):
         raise ValidationError("off-diagonal distances must be positive (points must be distinct)")
-    scale = float(off.max()) if off.size else 0.0
-    tol = rtol * scale
+    if not np.all(np.isfinite(off)):
+        raise ValidationError("off-diagonal distances must be finite")
+    tol = rtol * float(off.max()) if off.size else 0.0
     link = None
-    if n > 1 and math.isfinite(scale):
+    if n > 1:
         # imported on first use, so the sampling paths do not pay for it
         from scipy.cluster.hierarchy import cophenet, linkage
         from scipy.spatial.distance import squareform
@@ -376,9 +377,9 @@ def _checked_linkage(matrix, rtol: float) -> tuple[np.ndarray, np.ndarray | None
 def validate_ultrametric(matrix: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     """Check a matrix is a valid ultrametric on distinct points.
 
-    Requires symmetry, zero diagonal, positive off-diagonal entries and
-    the triple inequality d(i,k) <= max(d(i,j), d(j,k)) up to a relative
-    tolerance.  Returns the validated float matrix.
+    Requires symmetry, zero diagonal, positive finite off-diagonal
+    entries and the triple inequality d(i,k) <= max(d(i,j), d(j,k)) up
+    to a relative tolerance.  Returns the validated float matrix.
 
     Cost is O(n^2): a matrix within ``rtol * max(d)`` of the cophenetic
     distances of its single-linkage hierarchy is accepted without a
@@ -464,8 +465,6 @@ def comb_from_ultrametric(matrix, masses: Sequence[float] | None = None
             raise ValidationError("masses must be positive and finite")
     else:
         m = None
-    if n > 1 and link is None:
-        raise ValidationError("distances must be finite to build a comb")
 
     order, visibility = _ball_walk(link, n)
     widths = np.asarray(visibility) if m is None else m[order]
@@ -500,24 +499,5 @@ def comb_to_tree(comb: Comb) -> Tree:
     multifurcation so that all edge lengths stay positive.
     """
     T = comb.origin_height
-    heights = comb.heights
-
-    def build(tooth_lo: int, tooth_hi: int, leaf_lo: int) -> TreeNode:
-        # teeth indices [tooth_lo, tooth_hi) span leaves [leaf_lo, leaf_lo + count)
-        if tooth_hi <= tooth_lo:
-            return TreeNode(depth=T, label=str(leaf_lo))
-        h = float(heights[tooth_lo:tooth_hi].max())
-        cuts = [k for k in range(tooth_lo, tooth_hi) if heights[k] == h]
-        node = TreeNode(depth=T - h)
-        seg_lo = tooth_lo
-        leaf = leaf_lo
-        for cut in cuts:
-            node.children.append(build(seg_lo, cut, leaf))
-            leaf += cut - seg_lo + 1
-            seg_lo = cut + 1
-        node.children.append(build(seg_lo, tooth_hi, leaf))
-        return node
-
-    top = build(0, comb.n_teeth, 0)
-    root = TreeNode(depth=0.0, children=[top])
-    return Tree(root)
+    return _tree_from_separators([T] * (comb.n_teeth + 1), (-comb.heights).tolist(),
+                                 (T - comb.heights).tolist())

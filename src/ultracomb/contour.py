@@ -18,7 +18,7 @@ import numpy as np
 
 from .comb import Comb
 from .errors import EmptySphereError, ValidationError
-from .tree import Tree, TreeNode
+from .tree import Tree, _tree_from_separators
 
 __all__ = ["ContourFunction", "tree_from_contour", "sphere_comb_from_contour"]
 
@@ -146,28 +146,7 @@ def tree_from_contour(contour: ContourFunction) -> Tree:
     the contour pseudo-distance at the jump times.  Exactly tied troughs
     merge into one multifurcation.
     """
-    after = contour.after
-    before = contour.before
-    k = len(after)
-
-    def build(lo: int, hi: int) -> TreeNode:
-        if lo == hi:
-            return TreeNode(depth=after[lo], label=str(lo))
-        troughs = before[lo + 1:hi + 1]
-        low = min(troughs)
-        cuts = [lo + 1 + j for j, b in enumerate(troughs) if b == low]
-        node = TreeNode(depth=low)
-        seg = lo
-        for cut in cuts:
-            node.children.append(build(seg, cut - 1))
-            seg = cut
-        node.children.append(build(seg, hi))
-        return node
-
-    top = build(0, k - 1)
-    if top.depth > 0.0:
-        top = TreeNode(depth=0.0, children=[top])
-    return Tree(top)
+    return _tree_from_separators(contour.after, contour.before[1:], contour.before[1:])
 
 
 def sphere_comb_from_contour(contour: ContourFunction, level: float,

@@ -120,12 +120,6 @@ class PopulationModel:
             return self.birth_rate(t)
         return self.birth_rate
 
-    def birth_cumulative(self, t: float) -> float:
-        """Cumulative birth measure on [0, t] (constant-rate models only)."""
-        if callable(self.birth_rate):
-            raise ValidationError("cumulative birth measure needs a constant rate")
-        return self.birth_rate * t
-
     @classmethod
     def yule(cls, birth_rate: float = 1.0) -> "PopulationModel":
         return cls(birth_rate, Immortal())
@@ -217,11 +211,6 @@ class IntensityModel:
         return cls(name="from_W", tail=tail, tail_inverse=tail_inverse,
                    support_top=float(times[-1]))
 
-    @classmethod
-    def custom(cls, tail: Callable, tail_inverse: Callable,
-               support_top: float = math.inf, name: str = "custom") -> "IntensityModel":
-        return cls(name=name, tail=tail, tail_inverse=tail_inverse, support_top=support_top)
-
     def validate_on(self, points: Sequence[float], rtol: float = 1e-9) -> None:
         """Spot-check monotonicity and the inverse round-trip."""
         pts = sorted(float(p) for p in points)
@@ -247,9 +236,6 @@ class ScaleSolution:
     values: np.ndarray
     horizon: float
     model: PopulationModel
-
-    def value_at(self, t):
-        return np.interp(t, self.times, self.values)
 
     def intensity_model(self) -> IntensityModel:
         return IntensityModel.from_scale_grid(self.times, self.values)
@@ -286,78 +272,58 @@ def solve_scale_function(model: PopulationModel, horizon: float, steps: int) -> 
 
     W = np.empty(n + 1)
     W[0] = 1.0
+    conv = np.zeros(n + 1)  # W against the death-time density; 0 for immortals
     life = model.lifetime
 
+    # the lifetime's step: conv_next(i, w) is conv[i + 1] when W[i + 1] = w
     if isinstance(life, Immortal):
-        conv = None
+        conv_next = lambda i, w: 0.0  # noqa: E731
     elif isinstance(life, ExponentialLifetime):
-        conv = np.zeros(n + 1)  # conv[i] = int_0^{t_i} W(s) r e^{-r(t_i - s)} ds
+        # conv[i] = int_0^{t_i} W(s) r e^{-r(t_i - s)} ds
         r = life.rate
         decay = math.exp(-r * dt)
+        conv_next = lambda i, w: decay * conv[i] + 0.5 * dt * (r * decay * W[i] + r * w)  # noqa: E731
     elif isinstance(life, FixedLifetime):
-        conv = np.zeros(n + 1)  # conv[i] = W(t_i - length), 0 before the delay kicks in
+        def conv_next(i: int, w: float) -> float:
+            # W(t_{i+1} - length) by linear interpolation, 0 before the delay
+            # kicks in; w stands in for W[i+1] when the delay is under one step
+            t = ts[i + 1] - life.length
+            if t <= 0.0:
+                return 0.0
+            x = t / dt
+            j = int(x)
+            frac = x - j
+            if frac == 0.0:
+                return float(W[j])
+            hi = w if j == i else W[j + 1]
+            return float(W[j] * (1 - frac) + frac * hi)
     elif isinstance(life, CustomLifetime):
-        conv = np.zeros(n + 1)
+        def conv_next(i: int, w: float) -> float:
+            # trapezoid of W(s) g(horizon - t_{i+1}, horizon - s) over s in [0, t_{i+1}]
+            t_next = ts[i + 1]
+            kernel = life.density(horizon - t_next, horizon - ts[:i + 2])
+            kernel = np.asarray(kernel, dtype=float)
+            if np.any(~np.isfinite(kernel)) or np.any(kernel < 0):
+                raise NumericError(
+                    f"death-time density is not finite and nonnegative at t={t_next} "
+                    f"(non-integrable lifetime density?)"
+                )
+            return float(np.trapezoid(np.append(W[:i + 1], w) * kernel, dx=dt))
     else:  # pragma: no cover - exhaustive above
         raise ValidationError(f"unsupported lifetime {life!r}")
 
-    def conv_custom(i: int, w_prefix: np.ndarray) -> float:
-        # trapezoid of W(s) g(horizon - t_i, horizon - s) over s in [0, t_i]
-        t_i = ts[i]
-        kernel = life.density(horizon - t_i, horizon - ts[:i + 1])
-        kernel = np.asarray(kernel, dtype=float)
-        if np.any(~np.isfinite(kernel)) or np.any(kernel < 0):
-            raise NumericError(
-                f"death-time density is not finite and nonnegative at t={t_i} "
-                f"(non-integrable lifetime density?)"
-            )
-        return float(np.trapezoid(w_prefix[:i + 1] * kernel, dx=dt))
-
-    def delayed(idx: int, w: np.ndarray, extra: float | None) -> float:
-        # W(t_idx - length) by linear interpolation; `extra` supplies the
-        # not-yet-corrected value at idx when the delay is under one step
-        t = ts[idx] - life.length
-        if t <= 0.0:
-            return 0.0
-        x = t / dt
-        j = int(x)
-        frac = x - j
-        if frac == 0.0:
-            return float(w[j])
-        hi = extra if (j + 1 == idx and extra is not None) else w[j + 1]
-        return float(w[j] * (1 - frac) + frac * hi)
-
     for i in range(n):
-        c_i = 0.0 if conv is None else conv[i]
-        f_i = b[i] * (W[i] - c_i)
+        f_i = b[i] * (W[i] - conv[i])
         pred = W[i] + dt * f_i
         # convolution at the next node, using the predictor where needed
-        if conv is None:
-            c_next = 0.0
-        elif isinstance(life, ExponentialLifetime):
-            r = life.rate
-            c_next = decay * conv[i] + 0.5 * dt * (r * decay * W[i] + r * pred)
-        elif isinstance(life, FixedLifetime):
-            c_next = delayed(i + 1, W, pred)
-        else:
-            tmp = W.copy()
-            tmp[i + 1] = pred
-            c_next = conv_custom(i + 1, tmp)
-        f_next = b[i + 1] * (pred - c_next)
+        f_next = b[i + 1] * (pred - conv_next(i, pred))
         W[i + 1] = W[i] + 0.5 * dt * (f_i + f_next)
         if not math.isfinite(W[i + 1]) or W[i + 1] <= 0.0:
             raise NumericError(
                 f"scale solution left (0, inf) at t={ts[i + 1]:.6g} "
                 f"(W={W[i + 1]}); check the model parameters"
             )
-        if conv is not None:
-            if isinstance(life, ExponentialLifetime):
-                r = life.rate
-                conv[i + 1] = decay * conv[i] + 0.5 * dt * (r * decay * W[i] + r * W[i + 1])
-            elif isinstance(life, FixedLifetime):
-                conv[i + 1] = delayed(i + 1, W, None)
-            else:
-                conv[i + 1] = conv_custom(i + 1, W)
+        conv[i + 1] = conv_next(i, W[i + 1])
 
     W.flags.writeable = False
     ts.flags.writeable = False
@@ -385,10 +351,6 @@ class TimeChange:
             raise ValidationError("rate must be positive")
         return cls(forward=lambda t: np.exp(-rate * t),
                    inverse=lambda y: -np.log(y) / rate)
-
-    @classmethod
-    def from_callables(cls, forward: Callable, inverse: Callable) -> "TimeChange":
-        return cls(forward=forward, inverse=inverse)
 
     def __call__(self, x):
         return self.forward(x)

@@ -64,11 +64,6 @@ class MutationMeasure:
                    inverse=lambda y: np.asarray(y, dtype=float) / theta if theta > 0 else np.inf,
                    total_mass=math.inf if theta > 0 else 0.0)
 
-    @classmethod
-    def from_callables(cls, cumulative: Callable, inverse: Callable,
-                       total_mass: float = math.inf) -> "MutationMeasure":
-        return cls(cumulative=cumulative, inverse=inverse, total_mass=total_mass)
-
     def validate_on(self, points: Sequence[float], rtol: float = 1e-9) -> None:
         pts = sorted(float(p) for p in points)
         vals = [float(self.cumulative(p)) for p in pts]

@@ -90,16 +90,23 @@ def sample_kingman_comb(n_teeth: int, rng: RandomSource) -> Comb:
                             raw[order], heights_by_rank[order])
 
 
-def sample_cpp(model: IntensityModel, horizon: float, eps: float,
-               rng: RandomSource) -> CppSample:
-    """A coalescent point process of height ``horizon``, teeth below
-    ``eps`` truncated away.
+def _tail_heights(model: IntensityModel, gen, count: int, nu_lo: float,
+                  nu_hi: float, cap: float | None) -> np.ndarray:
+    """``count`` i.i.d. heights whose tail values are uniform on
+    (nu_lo, nu_hi], by inverse-tail sampling; heights stay below ``cap``
+    when one is given."""
+    u = gen.random(count)
+    heights = np.asarray(model.tail_inverse(nu_lo + (1.0 - u) * (nu_hi - nu_lo)), dtype=float)
+    if cap is None:
+        return heights
+    # float guard: inverse evaluation may land exactly on the cap
+    return np.minimum(heights, np.nextafter(cap, 0.0))
 
-    Uses the killed-width decomposition: width ~ Exp(tail(horizon)),
-    tooth count ~ Poisson(width * (tail(eps) - tail(horizon))), positions
-    i.i.d. uniform, heights i.i.d. from the intensity restricted to
-    [eps, horizon) by inverse-tail sampling.
-    """
+
+def _killed_comb(model: IntensityModel, horizon: float, eps: float, gen
+                 ) -> tuple[Comb, float]:
+    """The comb of :func:`sample_cpp` before its killing atom, and the
+    intensity tail at the horizon.  Draws width, count, heights, positions."""
     if horizon <= 0:
         raise ValidationError("horizon must be positive")
     if not 0 <= eps < horizon:
@@ -111,15 +118,25 @@ def sample_cpp(model: IntensityModel, horizon: float, eps: float,
                               f"got {nu_eps} (raise eps)")
     if not (math.isfinite(nu_top) and nu_top > 0):
         raise ValidationError(f"intensity tail at the horizon must be positive and finite, got {nu_top}")
-    gen = rng.gen
     width = gen.exponential(1.0 / nu_top)
-    count = gen.poisson(width * (nu_eps - nu_top))
-    u = gen.random(count)
-    heights = np.asarray(model.tail_inverse(nu_top + (1.0 - u) * (nu_eps - nu_top)), dtype=float)
-    # float guard: inverse evaluation may land exactly on the horizon
-    heights = np.minimum(heights, np.nextafter(horizon, 0.0))
-    positions = _distinct_uniforms(gen, int(count), width)
-    comb = Comb.from_arrays(width, horizon, positions, heights)
+    count = int(gen.poisson(width * (nu_eps - nu_top)))
+    heights = _tail_heights(model, gen, count, nu_top, nu_eps, horizon)
+    positions = _distinct_uniforms(gen, count, width)
+    return Comb.from_arrays(width, horizon, positions, heights), nu_top
+
+
+def sample_cpp(model: IntensityModel, horizon: float, eps: float,
+               rng: RandomSource) -> CppSample:
+    """A coalescent point process of height ``horizon``, teeth below
+    ``eps`` truncated away.
+
+    Uses the killed-width decomposition: width ~ Exp(tail(horizon)),
+    tooth count ~ Poisson(width * (tail(eps) - tail(horizon))), positions
+    i.i.d. uniform, heights i.i.d. from the intensity restricted to
+    [eps, horizon) by inverse-tail sampling.
+    """
+    gen = rng.gen
+    comb, nu_top = _killed_comb(model, horizon, eps, gen)
     if model.support_top <= horizon:
         killing = math.inf
     else:
@@ -128,7 +145,7 @@ def sample_cpp(model: IntensityModel, horizon: float, eps: float,
             v = gen.random()
         killing = float(model.tail_inverse(v * nu_top))
         killing = max(killing, float(np.nextafter(horizon, math.inf)))
-    return CppSample(comb=comb, width=width, killing_height=killing)
+    return CppSample(comb=comb, width=comb.interval_length, killing_height=killing)
 
 
 def sample_cpp_fixed_width(model: IntensityModel, width: float, eps: float,
@@ -153,12 +170,10 @@ def sample_cpp_fixed_width(model: IntensityModel, width: float, eps: float,
         raise ValidationError(f"intensity tail at eps={eps} must be finite (raise eps)")
     nu_cap = float(model.tail(height_cap)) if height_cap is not None else 0.0
     gen = rng.gen
-    count = gen.poisson(width * (nu_eps - nu_cap))
-    u = gen.random(count)
-    heights = np.asarray(model.tail_inverse(nu_cap + (1.0 - u) * (nu_eps - nu_cap)), dtype=float)
-    positions = _distinct_uniforms(gen, int(count), width)
+    count = int(gen.poisson(width * (nu_eps - nu_cap)))
+    heights = _tail_heights(model, gen, count, nu_cap, nu_eps, height_cap)
+    positions = _distinct_uniforms(gen, count, width)
     if height_cap is not None:
-        heights = np.minimum(heights, np.nextafter(height_cap, 0.0))
         origin = float(height_cap)
     else:
         origin = float(heights.max()) + 1.0 if count else 1.0

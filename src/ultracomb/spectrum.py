@@ -17,7 +17,7 @@ from .errors import ValidationError
 from .intensity import IntensityModel
 from .mutation import MutationMeasure, MutationSet, _clade_bounds, assign_alleles, scatter_mutations
 from .rng import RandomSource
-from .sampling import sample_kingman_comb
+from .sampling import _killed_comb, _tail_heights, sample_kingman_comb
 
 __all__ = [
     "FrequencySpectrum",
@@ -268,12 +268,9 @@ def _critical_bd_replicate(theta: float, horizon: float, rng: RandomSource
     birth-death genealogy, plus the number of individuals."""
     model = IntensityModel.critical_bd()
     gen = rng.gen
-    p_kill = model.tail(horizon) / model.tail(0.0)
-    n = int(gen.geometric(p_kill))
     nu_top, nu_zero = model.tail(horizon), model.tail(0.0)
-    u = gen.random(n - 1)
-    heights = model.tail_inverse(nu_top + (1.0 - u) * (nu_zero - nu_top))
-    heights = np.minimum(np.asarray(heights, dtype=float), np.nextafter(horizon, 0.0))
+    n = int(gen.geometric(nu_top / nu_zero))
+    heights = _tail_heights(model, gen, n - 1, nu_top, nu_zero, horizon)
     comb = Comb.from_arrays(float(n), horizon, np.arange(1, n, dtype=float), heights)
     mutations = scatter_mutations(comb, MutationMeasure.homogeneous(theta), True, rng)
     _, labels = assign_alleles(comb, mutations, np.arange(n) + 0.5)
@@ -288,24 +285,10 @@ def _brownian_replicate(theta: float, horizon: float, eps: float, rng: RandomSou
                         ) -> tuple[np.ndarray, float]:
     """Carrier masses of one killed Brownian-type genealogy (intensity
     tail 1/x) plus its width."""
-    model = IntensityModel.brownian(mass_scale=1.0)
-    gen = rng.gen
-    nu_top = model.tail(horizon)
-    width = gen.exponential(1.0 / nu_top)
-    nu_eps = model.tail(eps)
-    count = int(gen.poisson(width * (nu_eps - nu_top)))
-    u = gen.random(count)
-    heights = np.asarray(model.tail_inverse(nu_top + (1.0 - u) * (nu_eps - nu_top)), dtype=float)
-    heights = np.minimum(heights, np.nextafter(horizon, 0.0))
-    positions = np.sort(width * gen.random(count))
-    keep = np.ones(count, dtype=bool)
-    if count:
-        keep[1:] = np.diff(positions) > 0.0
-        keep &= positions > 0.0
-    comb = Comb.from_arrays(width, horizon, positions[keep], heights[keep])
+    comb, _ = _killed_comb(IntensityModel.brownian(mass_scale=1.0), horizon, eps, rng.gen)
     mutations = scatter_mutations(comb, MutationMeasure.homogeneous(theta), True, rng)
     spec = population_spectrum(comb, mutations)
-    return np.asarray(spec.masses, dtype=float), width
+    return np.asarray(spec.masses, dtype=float), comb.interval_length
 
 
 def normalized_tail_spectrum(model_name: str, theta: float, horizon: float,

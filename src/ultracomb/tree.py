@@ -10,7 +10,7 @@ codings and population reductions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import ValidationError
 
@@ -132,6 +132,34 @@ class Tree:
             inner = ",".join(emit(c, root.depth) for c in root.children)
             return f"({inner}){root.label or ''};"
         return f"{root.label or ''};"
+
+
+def _tree_from_separators(leaf_depths: Sequence[float], keys: Sequence[float],
+                          depths: Sequence[float]) -> Tree:
+    """Leaves '0'..'n-1' in planar order; separator k, between leaves k
+    and k+1, diverges at ``depths[k]``.  The O(n) monotone-stack Cartesian
+    tree of ``keys`` (Gabow, Bentley and Tarjan, STOC 1984): smaller keys
+    split first, and equal keys that no smaller key separates merge into
+    one multifurcation.  The top hangs from a root at depth 0 unless it
+    sits there already."""
+    stack: list[tuple[float, TreeNode]] = []  # open nodes, keys strictly increasing
+    cur = TreeNode(depth=leaf_depths[0], label="0")
+    for k, key in enumerate(keys):
+        while stack and stack[-1][0] > key:
+            node = stack.pop()[1]
+            node.children.append(cur)
+            cur = node
+        if stack and stack[-1][0] == key:
+            stack[-1][1].children.append(cur)
+        else:
+            stack.append((key, TreeNode(depth=depths[k], children=[cur])))
+        cur = TreeNode(depth=leaf_depths[k + 1], label=str(k + 1))
+    for _, node in reversed(stack):
+        node.children.append(cur)
+        cur = node
+    if cur.depth > 0.0:
+        cur = TreeNode(depth=0.0, children=[cur])
+    return Tree(cur)
 
 
 def parse_newick(text: str) -> Tree:

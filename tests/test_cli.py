@@ -1,11 +1,12 @@
 """End-to-end command line behaviour: artifacts, determinism, exit codes."""
 
 import json
+import os
 
 import pytest
 
 from ultracomb import Comb, ContourFunction
-from ultracomb.cli import main
+from ultracomb.cli import _shard, main
 
 
 def run(tmp_path, *argv):
@@ -142,4 +143,28 @@ def test_exit_codes(tmp_path, capsys):
     bad.write_text(json.dumps({"interval_length": 1.0, "origin_height": 2.0,
                                "teeth": [{"pos": 0.5, "h": 5.0}]}))
     assert main(["mutate", "--in", str(bad), "--theta", "1", "--seed", "1"]) == 2
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{bad")
+    for argv in (["mutate", "--in", str(malformed), "--theta", "1", "--seed", "1"],
+                 ["sample", "--model", "cpp-from-W", "--model-spec", str(malformed),
+                  "--seed", "1"],
+                 ["solve-w", "--model-spec", str(malformed)],
+                 ["treecode", "--in", str(malformed), "--to", "newick"]):
+        assert main(argv) == 2, argv
+        assert "malformed JSON" in capsys.readouterr().err
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("eps", [["--eps", "0"], ["--eps", "-1"], ["--eps", "6", "--T", "5"]])
+def test_population_mode_rejects_bad_eps(tmp_path, capsys, eps):
+    assert main(["spectrum", "--mode", "population", "--model", "cpp-brownian",
+                 "--theta", "1", "--reps", "4", "--seed", "1",
+                 "--out", str(tmp_path / "pop.csv"), *eps]) == 2
+    assert "validation error" in capsys.readouterr().err
+
+
+def test_shard_caps_workers_at_cpu_count():
+    shards = _shard(1_000_000, 10_000)
+    assert 1 <= len(shards) <= (os.cpu_count() or 1)
+    assert [r for s in shards for r in s] == list(range(1_000_000))
+    assert _shard(5, 0) == [range(0, 5)]

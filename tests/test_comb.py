@@ -14,6 +14,7 @@ from ultracomb import (BoundaryPoint, Comb, Partition, ValidationError,
                        comb_to_tree, parse_newick, validate_ultrametric)
 
 from conftest import random_comb
+from reference_tree import reference_comb_to_tree
 from reference_ultrametric import reference_comb_from_ultrametric, reference_validate
 
 EXAMPLE = Comb(1.0, 4.0, [(0.2, 3.0), (0.5, 1.0), (0.8, 2.0)])
@@ -206,6 +207,12 @@ def test_non_ultrametric_rejected():
         validate_ultrametric([[0.0, 1.0], [1.0, 0.1]])  # asymmetric
     with pytest.raises(ValidationError):
         validate_ultrametric([[0.0, 0.0], [0.0, 0.0]])  # coincident points
+    # an infinite distance would make the tolerance infinite and pass every triple
+    infinite = [[0.0, np.inf, 1.0], [np.inf, 0.0, 5.0], [1.0, 5.0, 0.0]]
+    with pytest.raises(ValidationError, match="finite"):
+        validate_ultrametric(infinite)
+    with pytest.raises(ValidationError, match="finite"):
+        comb_from_ultrametric(infinite)
 
 
 def comb_matrix(heights: np.ndarray) -> np.ndarray:
@@ -360,3 +367,26 @@ def test_tree_tied_heights_multifurcate():
     assert len(t.root.children[0].children) == 4
     for parent, child in t.edges():
         assert child.depth > parent.depth  # positive edge lengths
+
+
+def test_tree_matches_recursive_reference():
+    # tied heights, and distinct heights that round to equal depths T - h
+    gen = np.random.default_rng(109)
+    combs = [Comb.from_arrays(4.0, 1e6, np.array([1.0, 2.0, 3.0]),
+                              np.array([1e-11, 2e-11, 1e-11]))]
+    for _ in range(300):
+        n = int(gen.integers(0, 40))
+        levels = 0.05 + gen.random(max(1, n // 3 + 1))
+        combs.append(Comb.from_arrays(n + 1.0, 1.5, np.arange(1.0, n + 1.0),
+                                      gen.choice(levels, size=n)))
+    for c in combs:
+        assert comb_to_tree(c).newick(17) == reference_comb_to_tree(c).newick(17)
+
+
+def test_tree_of_deep_caterpillar_without_recursion():
+    n = 5000
+    c = Comb.from_arrays(n + 1.0, n + 1.0, np.arange(1.0, n + 1.0), np.arange(n, 0.0, -1.0))
+    t = comb_to_tree(c)
+    assert t.leaf_labels() == [str(i) for i in range(n + 1)]
+    assert all(d == n + 1.0 for d in t.leaf_depths())
+    assert max(node.depth for node in t.nodes() if node.children) == n

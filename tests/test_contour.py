@@ -9,6 +9,8 @@ from ultracomb import (ContourFunction, EmptySphereError, ValidationError,
                        comb_distance, sphere_comb_from_contour,
                        tree_from_contour)
 
+from reference_tree import reference_tree_from_contour
+
 
 def test_contour_validation():
     with pytest.raises(ValidationError):
@@ -73,6 +75,25 @@ def test_three_leaf_round_trip():
     assert t.mrca_depth("0", "2") == 0.5
     # visit order is preserved
     assert t.leaf_labels() == ["0", "1", "2"]
+
+
+def test_tree_matches_recursive_reference():
+    # jump sizes and gaps on a coarse grid give tied troughs, some at 0
+    gen = np.random.default_rng(77)
+    for _ in range(300):
+        k = int(gen.integers(1, 30))
+        sizes = gen.choice([0.5, 1.0, 2.0, 3.0], size=k)
+        gaps = gen.choice([0.5, 1.0, 2.0, 4.0], size=k)
+        h = ContourFunction.from_jumps(list(zip(np.cumsum(gaps).tolist(), sizes.tolist())))
+        assert tree_from_contour(h).newick(17) == reference_tree_from_contour(h).newick(17)
+
+
+def test_deep_contour_tree_without_recursion():
+    # every jump overshoots the next gap, so troughs increase: a caterpillar
+    n = 5000
+    t = tree_from_contour(ContourFunction.from_jumps([(float(i), 2.0) for i in range(n)]))
+    assert t.leaf_labels() == [str(i) for i in range(n)]
+    assert t.leaf_depths() == [i + 2.0 for i in range(n)]
 
 
 def test_pseudo_metric_four_point_condition():

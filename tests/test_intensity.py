@@ -111,8 +111,8 @@ def test_time_change_identity():
 
 def test_time_change_round_trip_exact():
     gen = np.random.default_rng(301)
-    up = TimeChange.from_callables(np.sqrt, np.square)
-    down = TimeChange.from_callables(np.square, np.sqrt)
+    up = TimeChange(np.sqrt, np.square)
+    down = TimeChange(np.square, np.sqrt)
     for _ in range(25):
         c = random_comb(gen, min_teeth=1)
         back = time_change_comb(time_change_comb(c, up), down)
@@ -130,8 +130,8 @@ def test_time_change_rejects_decreasing():
 def test_time_change_preserves_ball_structure():
     # partition at radius 2r equals the transformed partition at 2 psi(r)
     gen = np.random.default_rng(303)
-    psi = TimeChange.from_callables(lambda h: h + h * h,
-                                    lambda y: 0.5 * (-1 + np.sqrt(1 + 4 * y)))
+    psi = TimeChange(lambda h: h + h * h,
+                     lambda y: 0.5 * (-1 + np.sqrt(1 + 4 * y)))
     for _ in range(25):
         c = random_comb(gen, min_teeth=2)
         c2 = time_change_comb(c, psi)
@@ -174,7 +174,7 @@ def test_pushforward_finite_mass_constant_rate():
     # constant clock on (0, 1]
     theta = 2.5
     cumulative = lambda t: theta * (1.0 - math.exp(-float(t)))  # noqa: E731
-    change = TimeChange.from_callables(
+    change = TimeChange(
         lambda t: math.exp(-float(t)),            # theta^{-1} * tail mass
         lambda y: -math.log(float(y)))
     pf = mutation_rate_pushforward(cumulative, change)

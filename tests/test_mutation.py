@@ -81,7 +81,7 @@ def test_scatter_origin_flag():
 
 def test_scatter_rejects_infinite_origin_mass():
     comb = Comb(1.0, 2.0, [(0.5, 1.0)])
-    unbounded = MutationMeasure.from_callables(
+    unbounded = MutationMeasure(
         lambda t: np.where(np.asarray(t) >= 2.0, np.inf, np.asarray(t, dtype=float)),
         lambda y: y)
     with pytest.raises(ValidationError):
