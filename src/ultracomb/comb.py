@@ -40,6 +40,93 @@ __all__ = [
 _FACES = ("left", "right")
 
 
+# teeth per block of the range-max index: each query scans at most two
+# blocks directly and skips whole blocks through the sparse table
+_BLOCK = 32
+_OFFSETS = np.arange(_BLOCK)
+
+
+class _RangeMax:
+    """Read-only range-maximum index over tooth heights.
+
+    Heights are cut into blocks of ``_BLOCK`` teeth; ``table[k, b]`` is
+    the tallest tooth of blocks ``b .. b + 2**k - 1``, or +inf where that
+    run leaves the comb (a sparse table over block maxima, as in Bender
+    and Farach-Colton, "The LCA problem revisited", LATIN 2000).  Memory
+    is ``n + n / _BLOCK * log2(n / _BLOCK)`` floats.  Every query is a
+    batch: a few gathers of at most ``_BLOCK`` heights per entry plus one
+    sparse-table step per level.  Maxima are exact, so answers equal a
+    direct scan bit for bit.
+    """
+
+    __slots__ = ("n", "padded", "table")
+
+    def __init__(self, heights: np.ndarray):
+        n = heights.size
+        n_blocks = -(-n // _BLOCK)
+        # one extra block of -inf lets a window start anywhere in the comb
+        padded = np.full((n_blocks + 1) * _BLOCK, -np.inf)
+        padded[:n] = heights
+        levels = max(1, n_blocks.bit_length())
+        table = np.full((levels, n_blocks + 1), np.inf)
+        table[0, :n_blocks] = padded[:n_blocks * _BLOCK].reshape(n_blocks, _BLOCK).max(axis=1)
+        for k in range(1, levels):
+            span = 1 << k
+            half = span >> 1
+            np.maximum(table[k - 1, :n_blocks + 1 - span],
+                       table[k - 1, half:n_blocks + 1 - half], out=table[k, :n_blocks + 1 - span])
+        padded.flags.writeable = False
+        table.flags.writeable = False
+        self.n = n
+        self.padded = padded
+        self.table = table
+
+    def _window_max(self, lo: np.ndarray, count: np.ndarray) -> np.ndarray:
+        """Tallest of ``heights[lo : lo + count]``, with 1 <= count <= _BLOCK."""
+        window = self.padded[lo[:, None] + _OFFSETS]
+        return np.where(_OFFSETS < count[:, None], window, -np.inf).max(axis=1)
+
+    def range_max(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Tallest tooth over each index slice [lo, hi); 0.0 where empty."""
+        lo, hi = np.broadcast_arrays(np.maximum(np.asarray(lo, dtype=np.int64), 0),
+                                     np.minimum(np.asarray(hi, dtype=np.int64), self.n))
+        live = hi > lo
+        lo, hi = lo[live], hi[live]
+        # the first and last _BLOCK teeth of the slice cover its partial blocks
+        tail = np.maximum(hi - _BLOCK, lo)
+        best = np.maximum(self._window_max(lo, np.minimum(hi - lo, _BLOCK)),
+                          self._window_max(tail, hi - tail))
+        first, stop = -(-lo // _BLOCK), hi // _BLOCK  # whole blocks [first, stop)
+        k = np.frexp(np.maximum(stop - first, 1).astype(float))[1] - 1  # floor(log2(count))
+        blocks = np.maximum(self.table[k, first], self.table[k, stop - (1 << k)])
+        out = np.zeros(live.shape)
+        out[live] = np.where(stop > first, np.maximum(best, blocks), best)
+        return out
+
+    def next_above(self, starts: np.ndarray, levels: np.ndarray) -> np.ndarray:
+        """First index >= start whose height is > level (n if none)."""
+        starts, levels = np.broadcast_arrays(np.maximum(np.asarray(starts, dtype=np.int64), 0),
+                                             np.asarray(levels, dtype=float))
+        n = self.n
+        out = np.full(starts.shape, n, dtype=np.int64)
+        live = starts < n
+        start, level = starts[live], levels[live]
+        hits = self.padded[start[:, None] + _OFFSETS] > level[:, None]
+        found = hits.any(axis=1)
+        answer = np.where(found, start + hits.argmax(axis=1), n)
+        # the rest: binary lifting over block maxima, skipping every run
+        # of blocks no taller than the level, longest runs first
+        level = level[~found]
+        block = start[~found] // _BLOCK + 1
+        for k in range(self.table.shape[0] - 1, -1, -1):
+            block += (self.table[k, block] <= level).astype(np.int64) << k
+        # block == n_blocks lands in the -inf block: no hit, answer n
+        hits = self.padded[block[:, None] * _BLOCK + _OFFSETS] > level[:, None]
+        answer[~found] = np.where(hits.any(axis=1), block * _BLOCK + hits.argmax(axis=1), n)
+        out[live] = answer
+        return out
+
+
 class Comb:
     """An immutable comb: sorted teeth on ``[0, interval_length]``.
 
@@ -47,11 +134,11 @@ class Comb:
     interval; heights are positive and strictly below ``origin_height``.
     Heights may tie (ball partitions use <= consistently), positions may
     not.  Instances are safe to share across workers; treat the arrays
-    as read-only.
+    as read-only.  Range queries go through one read-only range-max
+    index, built on the first query and never changed after.
     """
 
-    __slots__ = ("interval_length", "origin_height", "positions", "heights",
-                 "_block", "_blockmax")
+    __slots__ = ("interval_length", "origin_height", "positions", "heights", "_index")
 
     def __init__(self, interval_length: float, origin_height: float,
                  teeth: Sequence[tuple[float, float]] = ()):
@@ -94,8 +181,13 @@ class Comb:
         self.origin_height = origin_height
         self.positions = positions
         self.heights = heights
-        self._block = 0
-        self._blockmax = None
+        self._index = None
+
+    def _range_index(self) -> _RangeMax:
+        index = self._index
+        if index is None:
+            index = self._index = _RangeMax(self.heights)
+        return index
 
     @property
     def n_teeth(self) -> int:
@@ -112,42 +204,26 @@ class Comb:
             return float(self.heights[i])
         return 0.0
 
+    def max_height_batch(self, lo, hi) -> np.ndarray:
+        """Max tooth height over each index slice [lo, hi); 0.0 where empty.
+
+        ``lo`` and ``hi`` are integer arrays (or scalars) of equal shape;
+        the whole batch costs O(len * (_BLOCK + log n)).
+        """
+        return self._range_index().range_max(lo, hi)
+
     def max_height_between(self, lo: int, hi: int) -> float:
         """Max tooth height over index slice [lo, hi); 0.0 if empty."""
-        if hi <= lo:
-            return 0.0
-        return float(self.heights[lo:hi].max())
+        return float(self.max_height_batch(np.array([lo]), np.array([hi]))[0])
+
+    def next_taller_batch(self, starts, levels) -> np.ndarray:
+        """For each (start, level): the first tooth index >= start whose
+        height is > level, or n_teeth if there is none."""
+        return self._range_index().next_above(starts, levels)
 
     def next_taller(self, start: int, level: float) -> int:
-        """First tooth index >= start with height > level (n_teeth if none).
-
-        Uses cached sqrt-decomposition block maxima so repeated queries on
-        big combs stay cheap.
-        """
-        n = self.n_teeth
-        if start >= n:
-            return n
-        if self._blockmax is None:
-            block = max(1, int(math.sqrt(n)))
-            pad = (-n) % block
-            padded = np.pad(self.heights, (0, pad), constant_values=0.0)
-            self._block = block
-            self._blockmax = padded.reshape(-1, block).max(axis=1)
-        block = self._block
-        b = start // block
-        # partial first block
-        end = min((b + 1) * block, n)
-        seg = self.heights[start:end]
-        hit = np.nonzero(seg > level)[0]
-        if hit.size:
-            return start + int(hit[0])
-        for bb in range(b + 1, self._blockmax.size):
-            if self._blockmax[bb] > level:
-                lo = bb * block
-                seg = self.heights[lo:min(lo + block, n)]
-                hit = np.nonzero(seg > level)[0]
-                return lo + int(hit[0])
-        return n
+        """First tooth index >= start with height > level (n_teeth if none)."""
+        return int(self.next_taller_batch(np.array([start]), np.array([level]))[0])
 
     def gap_lengths(self) -> np.ndarray:
         """Lengths of the inter-tooth intervals (the boundary measure)."""
@@ -315,17 +391,12 @@ def ball_partition(comb: Comb, positions: Sequence[float], radius: float) -> Par
     if np.any(pts < 0.0) or np.any(pts > comb.interval_length):
         raise ValidationError("sample positions outside the comb interval")
     order = np.argsort(pts, kind="stable")
-    sorted_pts = pts[order]
-    blocks: list[list[int]] = [[int(order[0])]]
-    for k in range(1, sorted_pts.size):
-        lo = int(np.searchsorted(comb.positions, sorted_pts[k - 1], side="right"))
-        hi = int(np.searchsorted(comb.positions, sorted_pts[k], side="right"))
-        gap = comb.max_height_between(lo, hi)
-        if 2.0 * gap <= radius:
-            blocks[-1].append(int(order[k]))
-        else:
-            blocks.append([int(order[k])])
-    return Partition(tuple(frozenset(b) for b in blocks))
+    cut = np.searchsorted(comb.positions, pts[order], side="right")
+    # tallest tooth between consecutive samples; a taller one than
+    # radius/2 starts a new block
+    gaps = comb.max_height_batch(cut[:-1], cut[1:])
+    blocks = np.split(order, np.flatnonzero(~(2.0 * gaps <= radius)) + 1)
+    return Partition(tuple(frozenset(b.tolist()) for b in blocks))
 
 
 def _checked_linkage(matrix, rtol: float) -> tuple[np.ndarray, np.ndarray | None]:

@@ -83,24 +83,50 @@ class MutationAtom(NamedTuple):
 
 
 class MutationSet:
-    """An immutable, (branch, depth)-sorted set of mutation atoms.
+    """An immutable set of mutation atoms, stored as two arrays sorted by
+    (branch, depth): ``branch`` (int64) and ``depth`` (float64).
 
     Two atoms at the same depth on the same branch would be
     indistinguishable and are rejected; equal depths on distinct
     branches are harmless (their carrier intervals are disjoint).
+    ``atoms`` and iteration give the atoms as ``MutationAtom`` tuples.
     """
 
-    __slots__ = ("atoms",)
+    __slots__ = ("branch", "depth")
 
     def __init__(self, atoms: Sequence[tuple[int, float]]):
-        normalized = sorted(MutationAtom(int(b), float(d)) for b, d in atoms)
-        for a, b in zip(normalized, normalized[1:]):
-            if a == b:
-                raise ValidationError(f"duplicate mutation atom {a}")
-        self.atoms = tuple(normalized)
+        atoms = [(int(b), float(d)) for b, d in atoms]
+        self._init_from_arrays(np.array([a[0] for a in atoms], dtype=np.int64),
+                               np.array([a[1] for a in atoms], dtype=float))
+
+    @classmethod
+    def from_arrays(cls, branch: np.ndarray, depth: np.ndarray) -> "MutationSet":
+        """Atoms from parallel branch and depth arrays, in any order."""
+        ms = cls.__new__(cls)
+        ms._init_from_arrays(np.asarray(branch, dtype=np.int64), np.asarray(depth, dtype=float))
+        return ms
+
+    def _init_from_arrays(self, branch: np.ndarray, depth: np.ndarray) -> None:
+        if branch.shape != depth.shape or branch.ndim != 1:
+            raise ValidationError("branch and depth must be 1-d arrays of equal length")
+        order = np.lexsort((depth, branch))
+        branch, depth = branch[order], depth[order]
+        dup = np.flatnonzero((branch[1:] == branch[:-1]) & (depth[1:] == depth[:-1]))
+        if dup.size:
+            k = int(dup[0])
+            raise ValidationError(
+                f"duplicate mutation atom {MutationAtom(int(branch[k]), float(depth[k]))}")
+        branch.flags.writeable = False
+        depth.flags.writeable = False
+        self.branch = branch
+        self.depth = depth
+
+    @property
+    def atoms(self) -> tuple[MutationAtom, ...]:
+        return tuple(map(MutationAtom, self.branch.tolist(), self.depth.tolist()))
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return int(self.branch.size)
 
     def __iter__(self):
         return iter(self.atoms)
@@ -108,18 +134,48 @@ class MutationSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MutationSet):
             return NotImplemented
-        return self.atoms == other.atoms
+        return (np.array_equal(self.branch, other.branch)
+                and np.array_equal(self.depth, other.depth))
 
     def __repr__(self) -> str:
-        return f"MutationSet(n={len(self.atoms)})"
+        return f"MutationSet(n={len(self)})"
 
     def validate_for(self, comb: Comb) -> None:
-        for atom in self.atoms:
-            _branch_height(comb, atom)  # raises on bad branch/depth
+        """Every branch must be the origin or a tooth, and every depth must
+        lie strictly between 0 and its branch height; the first offending
+        atom is named."""
+        branch, depth = self.branch, self.depth
+        n = comb.n_teeth
+        tooth = (branch >= 0) & (branch < n)
+        bad_branch = ~tooth & (branch != ORIGIN_BRANCH)
+        height = np.append(comb.heights, comb.origin_height)[np.where(tooth, branch, n)]
+        bad = bad_branch | ~((0.0 < depth) & (depth < height))
+        if bad.any():
+            k = int(bad.argmax())
+            if bad_branch[k]:
+                raise ValidationError(f"atom branch {int(branch[k])} is not a tooth of the comb")
+            raise ValidationError(
+                f"atom depth {float(depth[k])} outside (0, {float(height[k])}) "
+                f"on branch {int(branch[k])}")
+
+    def clade_bounds(self, comb: Comb) -> tuple[np.ndarray, np.ndarray]:
+        """Carrier intervals [start, end) of all atoms, in atom order, from
+        one batched query of the comb's range-max index.
+
+        An atom's interval runs from its branch position (0 for the
+        origin) to the first tooth to the right taller than its depth (or
+        the interval end).  Clades are laminar, and a strictly nested
+        clade belongs to a strictly shallower atom.
+        """
+        self.validate_for(comb)
+        tooth = self.branch != ORIGIN_BRANCH
+        edges = np.append(comb.positions, comb.interval_length)
+        stop = comb.next_taller_batch(np.where(tooth, self.branch + 1, 0), self.depth)
+        return np.where(tooth, edges[self.branch], 0.0), edges[stop]
 
     def to_list(self) -> list[dict]:
-        return [{"branch": "origin" if a.branch == ORIGIN_BRANCH else a.branch,
-                 "depth": a.depth} for a in self.atoms]
+        return [{"branch": "origin" if b == ORIGIN_BRANCH else b, "depth": d}
+                for b, d in zip(self.branch.tolist(), self.depth.tolist())]
 
     @classmethod
     def from_list(cls, data: Sequence[dict]) -> "MutationSet":
@@ -138,19 +194,6 @@ class MutationSet:
         return cls.from_list(json.loads(text))
 
 
-def _branch_height(comb: Comb, atom: MutationAtom) -> float:
-    if atom.branch == ORIGIN_BRANCH:
-        height = comb.origin_height
-    elif 0 <= atom.branch < comb.n_teeth:
-        height = float(comb.heights[atom.branch])
-    else:
-        raise ValidationError(f"atom branch {atom.branch} is not a tooth of the comb")
-    if not 0.0 < atom.depth < height:
-        raise ValidationError(
-            f"atom depth {atom.depth} outside (0, {height}) on branch {atom.branch}")
-    return height
-
-
 def scatter_mutations(comb: Comb, measure: MutationMeasure, include_origin: bool,
                       rng: RandomSource) -> MutationSet:
     """Poisson mutations on the comb skeleton.
@@ -161,20 +204,19 @@ def scatter_mutations(comb: Comb, measure: MutationMeasure, include_origin: bool
     origin, by independence of the Poisson restrictions.
     """
     gen = rng.gen
-    atoms: list[tuple[int, float]] = []
     branch_heights = comb.heights
     masses = np.asarray(measure.cumulative(branch_heights), dtype=float)
     if np.any(~np.isfinite(masses)):
         raise ValidationError("mutation measure must be finite on the tooth heights")
     counts = gen.poisson(masses) if comb.n_teeth else np.empty(0, dtype=int)
     total = int(counts.sum()) if comb.n_teeth else 0
+    branches = np.repeat(np.arange(comb.n_teeth), counts)
+    depths = np.empty(0)
     if total:
-        branches = np.repeat(np.arange(comb.n_teeth), counts)
         u = gen.random(total)
         depths = np.asarray(measure.inverse(u * masses[branches]), dtype=float)
         depths = np.minimum(depths, np.nextafter(branch_heights[branches], 0.0))
         depths = np.maximum(depths, np.nextafter(0.0, 1.0))
-        atoms.extend(zip(branches.tolist(), depths.tolist()))
     if include_origin:
         origin_mass = float(measure.cumulative(comb.origin_height))
         if not math.isfinite(origin_mass):
@@ -186,8 +228,9 @@ def scatter_mutations(comb: Comb, measure: MutationMeasure, include_origin: bool
             d = np.asarray(measure.inverse(u * origin_mass), dtype=float)
             d = np.minimum(d, np.nextafter(comb.origin_height, 0.0))
             d = np.maximum(d, np.nextafter(0.0, 1.0))
-            atoms.extend((ORIGIN_BRANCH, float(x)) for x in d)
-    return MutationSet(atoms)
+            branches = np.append(branches, np.full(k, ORIGIN_BRANCH))
+            depths = np.append(depths, d)
+    return MutationSet.from_arrays(branches, depths)
 
 
 @dataclass(frozen=True)
@@ -203,25 +246,53 @@ class CladeInterval:
         return self.end - self.start
 
 
-def _clade_bounds(comb: Comb, atom: MutationAtom) -> tuple[float, float]:
-    if atom.branch == ORIGIN_BRANCH:
-        start = 0.0
-        scan_from = 0
-    else:
-        start = float(comb.positions[atom.branch])
-        scan_from = atom.branch + 1
-    stop = comb.next_taller(scan_from, atom.depth)
-    end = float(comb.positions[stop]) if stop < comb.n_teeth else comb.interval_length
-    return start, end
-
-
 def mutation_clade(comb: Comb, atom) -> CladeInterval:
     """Carriers of one mutation: from its branch position to the first
     tooth to the right taller than its depth (or the interval end)."""
     atom = MutationAtom(int(atom[0]), float(atom[1]))
-    _branch_height(comb, atom)
-    start, end = _clade_bounds(comb, atom)
-    return CladeInterval(atom=atom, start=start, end=end)
+    start, end = MutationSet([atom]).clade_bounds(comb)
+    return CladeInterval(atom=atom, start=float(start[0]), end=float(end[0]))
+
+
+def _clade_forest(start: np.ndarray, end: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct clades of a laminar family, in preorder (start
+    ascending, end descending), with each one's parent (-1 at the top)
+    and its first atom.
+
+    A clade's nesting level is the number of clades before it in
+    preorder minus those that closed at or before its start; its parent
+    is the last earlier clade one level up.
+    """
+    order = np.lexsort((-end, start))
+    s, e = start[order], end[order]
+    new = np.ones(s.size, dtype=bool)
+    new[1:] = (s[1:] != s[:-1]) | (e[1:] != e[:-1])
+    s, e, first = s[new], e[new], order[new]
+    m = s.size
+    idx = np.arange(m)
+    level = idx - np.searchsorted(np.sort(e), s, side="right")
+    keys = np.sort(level * m + idx)
+    up = (level - 1) * m  # key of index 0 one level up
+    parent = keys[np.searchsorted(keys, up + idx) - 1] - up
+    return s, e, np.where(level > 0, parent, -1), first
+
+
+def _allele_labels(comb: Comb, mutations: MutationSet, pts: np.ndarray) -> np.ndarray:
+    """Index of the shallowest atom whose clade holds each position (-1
+    if none).  That is the first atom of the innermost clade holding it:
+    a sweep over clade ends and starts, in nesting order at equal
+    positions, leaves that clade on top of the open-clade stack."""
+    s, e, parent, first = _clade_forest(*mutations.clade_bounds(comb))
+    idx = np.arange(s.size)
+    # events: clade ends (innermost first) before clade starts (outermost
+    # first) at equal positions; after each, the top of the stack
+    at = np.concatenate((e, s))
+    order = np.lexsort((np.concatenate((-idx, idx)), np.repeat([0, 1], s.size), at))
+    # a trailing -1 answers "no event yet" (index -1) and "no clade"
+    top = np.append(np.concatenate((parent, idx))[order], -1)
+    inner = top[np.searchsorted(at[order], pts, side="right") - 1]
+    return np.append(first, -1)[inner]
 
 
 def assign_alleles(comb: Comb, mutations: MutationSet,
@@ -237,29 +308,8 @@ def assign_alleles(comb: Comb, mutations: MutationSet,
     pts = np.asarray(list(positions), dtype=float)
     if pts.size and (pts.min() < 0.0 or pts.max() > comb.interval_length):
         raise ValidationError("sample positions outside the comb interval")
-    mutations.validate_for(comb)
-    order = np.argsort(pts, kind="stable")
-    sorted_pts = pts[order]
-    labels = np.full(pts.size, -2, dtype=int)  # -2 = unassigned
-    atoms = mutations.atoms
-    by_depth = sorted(range(len(atoms)), key=lambda i: atoms[i].depth)
-    assigned = 0
-    for i in by_depth:
-        if assigned == pts.size:
-            break
-        start, end = _clade_bounds(comb, atoms[i])
-        lo = int(np.searchsorted(sorted_pts, start, side="left"))
-        hi = int(np.searchsorted(sorted_pts, end, side="left"))
-        if hi <= lo:
-            continue
-        window = labels[lo:hi]
-        fresh = window == -2
-        window[fresh] = i
-        assigned += int(fresh.sum())
-    final = np.full(pts.size, -1, dtype=int)
-    final[order] = np.where(labels == -2, -1, labels)
-    out_labels: list[int | None] = [None if v == -1 else int(v) for v in final]
-    return Partition.from_labels(out_labels), out_labels
+    labels = [None if v < 0 else v for v in _allele_labels(comb, mutations, pts).tolist()]
+    return Partition.from_labels(labels), labels
 
 
 @dataclass(frozen=True)
@@ -286,31 +336,18 @@ class ClonalSet:
         return i >= 0 and self.intervals[i][1] >= b
 
 
-def _merged_clades(comb: Comb, mutations: MutationSet) -> list[tuple[float, float]]:
-    spans = sorted(_clade_bounds(comb, atom) for atom in mutations)
-    merged: list[list[float]] = []
-    for s, e in spans:
-        if merged and s <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], e)
-        else:
-            merged.append([s, e])
-    return [(s, e) for s, e in merged]
-
-
 def clonal_set(comb: Comb, mutations: MutationSet) -> ClonalSet:
     """Boundary points with no mutation on their lineage: the complement
     of the union of all carrier intervals."""
-    mutations.validate_for(comb)
-    covered = _merged_clades(comb, mutations)
-    out: list[tuple[float, float]] = []
-    cursor = 0.0
-    for s, e in covered:
-        if s > cursor:
-            out.append((cursor, s))
-        cursor = max(cursor, e)
-    if cursor < comb.interval_length:
-        out.append((cursor, comb.interval_length))
-    return ClonalSet(tuple(out))
+    start, end = mutations.clade_bounds(comb)
+    order = np.lexsort((end, start))
+    start, reach = start[order], np.maximum.accumulate(end[order])
+    # covered runs break where a clade starts beyond all earlier ends
+    gap = np.flatnonzero(start[1:] > reach[:-1])
+    lo = np.concatenate(([0.0], reach[gap], reach[-1:]))
+    hi = np.concatenate((start[:1], start[gap + 1], [comb.interval_length]))
+    keep = hi > lo
+    return ClonalSet(tuple(zip(lo[keep].tolist(), hi[keep].tolist())))
 
 
 def clonal_laplace_exponent(tail: Callable, measure: MutationMeasure, lam: float) -> float:

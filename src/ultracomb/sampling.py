@@ -81,13 +81,14 @@ def sample_kingman_comb(n_teeth: int, rng: RandomSource) -> Comb:
     heights_by_rank = np.cumsum(waits[::-1])[::-1] + 2.0 / (n_teeth + 1)
     for _ in range(8):
         raw = gen.random(n_teeth)
-        if raw.min() > 0.0 and np.unique(raw).size == n_teeth:
+        order = np.argsort(raw)
+        positions = raw[order]
+        if positions[0] > 0.0 and np.all(positions[1:] > positions[:-1]):
             break
     else:
         raise ResourceError("could not draw distinct tooth positions")
-    order = np.argsort(raw, kind="stable")
     return Comb.from_arrays(1.0, float(heights_by_rank[0]) + 1.0,
-                            raw[order], heights_by_rank[order])
+                            positions, heights_by_rank[order])
 
 
 def _tail_heights(model: IntensityModel, gen, count: int, nu_lo: float,

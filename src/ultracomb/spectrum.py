@@ -5,7 +5,6 @@ stick-breaking oracle, population spectra and their per-capita limits.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -15,7 +14,8 @@ from scipy import special
 from .comb import Comb, Partition
 from .errors import ValidationError
 from .intensity import IntensityModel
-from .mutation import MutationMeasure, MutationSet, _clade_bounds, assign_alleles, scatter_mutations
+from .mutation import (MutationMeasure, MutationSet, _clade_forest, assign_alleles,
+                       scatter_mutations)
 from .rng import RandomSource
 from .sampling import _killed_comb, _tail_heights, sample_kingman_comb
 
@@ -211,30 +211,24 @@ def population_spectrum(comb: Comb, mutations: MutationSet) -> FrequencySpectrum
     clade minus the clades of shallower atoms; atoms overwritten
     everywhere contribute nothing, and the clonal remainder is not an
     allele of the mutation measure.
+
+    Clades are laminar and strictly nested clades are strictly
+    shallower, so the carriers of a distinct clade are its length minus
+    the lengths of its child clades, subtracted in start order (one
+    ``subtract.reduceat``); a clade repeated by deeper atoms on the
+    same branch counts once.  That is the sweep's float arithmetic,
+    operation for operation.
     """
-    mutations.validate_for(comb)
-    atoms = sorted(mutations.atoms, key=lambda a: a.depth)
-    covered: list[list[float]] = []  # disjoint sorted [start, end) intervals
-    masses: list[float] = []
-    starts: list[float] = []
-    for atom in atoms:
-        s, e = _clade_bounds(comb, atom)
-        carrier = e - s
-        # subtract the overlap with already-covered intervals
-        i = bisect_left(starts, s)
-        if i > 0 and covered[i - 1][1] > s:
-            i -= 1
-        j = i
-        while j < len(covered) and covered[j][0] < e:
-            carrier -= min(e, covered[j][1]) - max(s, covered[j][0])
-            j += 1
-        if carrier > 0.0:
-            masses.append(carrier)
-        lo = min([s] + [covered[k][0] for k in range(i, j)])
-        hi = max([e] + [covered[k][1] for k in range(i, j)])
-        covered[i:j] = [[lo, hi]]
-        starts[i:j] = [lo]
-    return FrequencySpectrum.from_masses(masses)
+    start, end, parent, _ = _clade_forest(*mutations.clade_bounds(comb))
+    length = end - start
+    child = np.flatnonzero(parent >= 0)
+    # per clade: its own length, then its children's lengths in start order
+    group = np.concatenate((np.arange(start.size), parent[child]))
+    rank = np.concatenate((np.full(start.size, -1), child))
+    order = np.lexsort((rank, group))
+    carriers = np.subtract.reduceat(np.concatenate((length, length[child]))[order],
+                                    np.flatnonzero(rank[order] < 0))
+    return FrequencySpectrum.from_masses(carriers[carriers > 0.0].tolist())
 
 
 def gem_ranked_oracle(theta: float, depth: int, reps: int, rng: RandomSource) -> np.ndarray:
@@ -274,11 +268,8 @@ def _critical_bd_replicate(theta: float, horizon: float, rng: RandomSource
     comb = Comb.from_arrays(float(n), horizon, np.arange(1, n, dtype=float), heights)
     mutations = scatter_mutations(comb, MutationMeasure.homogeneous(theta), True, rng)
     _, labels = assign_alleles(comb, mutations, np.arange(n) + 0.5)
-    sizes: dict[int, int] = {}
-    for lab in labels:
-        if lab is not None:
-            sizes[lab] = sizes.get(lab, 0) + 1
-    return np.asarray(list(sizes.values()), dtype=float), n
+    _, sizes = np.unique([lab for lab in labels if lab is not None], return_counts=True)
+    return sizes.astype(float), n
 
 
 def _brownian_replicate(theta: float, horizon: float, eps: float, rng: RandomSource

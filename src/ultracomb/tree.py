@@ -79,21 +79,18 @@ class Tree:
         return [leaf.depth for leaf in self.leaves()]
 
     def _path_to(self, label: str) -> list[TreeNode]:
-        def walk(node: TreeNode, acc: list[TreeNode]) -> list[TreeNode] | None:
-            acc.append(node)
+        """Root-to-leaf path of the first leaf (in planar order) with this
+        label, by an explicit-stack depth-first walk."""
+        path: list[TreeNode] = []
+        stack = [(self.root, 0)]
+        while stack:
+            node, level = stack.pop()
+            del path[level:]
+            path.append(node)
             if node.is_leaf and node.label == label:
-                return acc
-            for child in node.children:
-                found = walk(child, acc)
-                if found is not None:
-                    return found
-            acc.pop()
-            return None
-
-        path = walk(self.root, [])
-        if path is None:
-            raise ValidationError(f"no leaf labelled {label!r}")
-        return path
+                return path
+            stack.extend((child, level + 1) for child in reversed(node.children))
+        raise ValidationError(f"no leaf labelled {label!r}")
 
     def mrca_depth(self, label_a: str, label_b: str) -> float:
         pa = self._path_to(label_a)
@@ -119,19 +116,28 @@ class Tree:
         def fmt(x: float) -> str:
             return f"{x:.{digits}g}"
 
-        def emit(node: TreeNode, parent_depth: float) -> str:
-            length = node.depth - parent_depth
-            body = node.label or ""
-            if node.children:
-                inner = ",".join(emit(c, node.depth) for c in node.children)
-                body = f"({inner}){node.label or ''}"
-            return f"{body}:{fmt(length)}"
-
-        root = self.root
-        if root.children:
-            inner = ",".join(emit(c, root.depth) for c in root.children)
-            return f"({inner}){root.label or ''};"
-        return f"{root.label or ''};"
+        parts: list[str] = []
+        # a stack of nodes still to open (with their parent's depth) and
+        # of text to write once the nodes above it on the stack are done
+        stack: list = [(self.root, None)]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            node, parent_depth = item
+            tail = node.label or ""
+            tail += ";" if parent_depth is None else f":{fmt(node.depth - parent_depth)}"
+            if not node.children:
+                parts.append(tail)
+                continue
+            parts.append("(")
+            stack.append(")" + tail)
+            for k in range(len(node.children) - 1, -1, -1):
+                stack.append((node.children[k], node.depth))
+                if k:
+                    stack.append(",")
+        return "".join(parts)
 
 
 def _tree_from_separators(leaf_depths: Sequence[float], keys: Sequence[float],
@@ -163,59 +169,59 @@ def _tree_from_separators(leaf_depths: Sequence[float], keys: Sequence[float],
 
 
 def parse_newick(text: str) -> Tree:
-    """Parse a Newick string (labels and branch lengths) back into a Tree."""
+    """Parse a Newick string (labels and branch lengths) back into a Tree.
+
+    The parser keeps the chain of open internal nodes on an explicit
+    stack, so nesting depth is not limited by recursion.
+    """
     text = text.strip()
     if not text.endswith(";"):
         raise ValidationError("Newick string must end with ';'")
     s = text[:-1]
     pos = 0
-
-    def parse_node() -> tuple[TreeNode, float]:
-        # Returns (node with depth unset, edge length to its parent).
-        nonlocal pos
+    open_nodes: list[TreeNode] = []  # internal nodes whose ')' is pending
+    while True:
         node = TreeNode(depth=0.0)
-        lengths: list[float] = []
         if pos < len(s) and s[pos] == "(":
             pos += 1
-            while True:
-                child, length = parse_node()
-                node.children.append(child)
-                lengths.append(length)
-                if pos < len(s) and s[pos] == ",":
+            open_nodes.append(node)
+            continue  # parse its first child
+        while True:
+            # node's children are complete: read its label and edge length
+            start = pos
+            while pos < len(s) and s[pos] not in ",():;":
+                pos += 1
+            if pos > start:
+                node.label = s[start:pos]
+            length = 0.0
+            if pos < len(s) and s[pos] == ":":
+                pos += 1
+                start = pos
+                while pos < len(s) and s[pos] not in ",()":
                     pos += 1
-                    continue
+                length = float(s[start:pos])
+            if not open_nodes:
                 break
+            # stash the edge length on depth; resolved below
+            node.depth = length
+            open_nodes[-1].children.append(node)
+            if pos < len(s) and s[pos] == ",":
+                pos += 1
+                break  # parse the next sibling
             if pos >= len(s) or s[pos] != ")":
                 raise ValidationError("unbalanced parentheses in Newick string")
             pos += 1
-        start = pos
-        while pos < len(s) and s[pos] not in ",():;":
-            pos += 1
-        if pos > start:
-            node.label = s[start:pos]
-        own_length = 0.0
-        if pos < len(s) and s[pos] == ":":
-            pos += 1
-            start = pos
-            while pos < len(s) and s[pos] not in ",()":
-                pos += 1
-            own_length = float(s[start:pos])
-        # stash child edge lengths on depth; resolved below
-        for child, length in zip(node.children, lengths):
-            child.depth = length
-        return node, own_length
-
-    root, _ = parse_node()
+            node = open_nodes.pop()
+        if not open_nodes:
+            break
     if pos != len(s):
         raise ValidationError(f"trailing characters in Newick string: {s[pos:]!r}")
 
-    def resolve(node: TreeNode, base: float) -> None:
-        length = node.depth
-        node.depth = base + length
-        for child in node.children:
-            resolve(child, node.depth)
-
+    root = node
     root.depth = 0.0
-    for child in root.children:
-        resolve(child, 0.0)
+    stack = [(child, 0.0) for child in reversed(root.children)]
+    while stack:
+        child, base = stack.pop()
+        child.depth = base + child.depth
+        stack.extend((c, child.depth) for c in reversed(child.children))
     return Tree(root)

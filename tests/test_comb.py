@@ -14,7 +14,8 @@ from ultracomb import (BoundaryPoint, Comb, Partition, ValidationError,
                        comb_to_tree, parse_newick, validate_ultrametric)
 
 from conftest import random_comb
-from reference_tree import reference_comb_to_tree
+from reference_tree import (reference_comb_to_tree, reference_newick, reference_parse_newick,
+                            reference_path_to)
 from reference_ultrametric import reference_comb_from_ultrametric, reference_validate
 
 EXAMPLE = Comb(1.0, 4.0, [(0.2, 3.0), (0.5, 1.0), (0.8, 2.0)])
@@ -390,3 +391,47 @@ def test_tree_of_deep_caterpillar_without_recursion():
     assert t.leaf_labels() == [str(i) for i in range(n + 1)]
     assert all(d == n + 1.0 for d in t.leaf_depths())
     assert max(node.depth for node in t.nodes() if node.children) == n
+
+
+def test_newick_export_and_parse_match_recursive_reference():
+    gen = np.random.default_rng(110)
+    texts = ["a;", "(a:1,b:2)r;", "((a:1,b:0.5)x:2,(c:1):1,d:3.25):7;", "(,(,):1):2;", "();"]
+    for i in range(200):
+        n = int(gen.integers(0, 30))
+        heights = gen.choice(0.05 + gen.random(n // 2 + 1), size=n) if i % 2 else 0.05 + gen.random(n)
+        t = comb_to_tree(Comb.from_arrays(n + 1.0, 1.5, np.arange(1.0, n + 1.0), heights))
+        for digits in (6, 12, 17):
+            assert t.newick(digits) == reference_newick(t, digits)
+        texts.append(t.newick(17))
+    for text in texts:
+        got, want = parse_newick(text), reference_parse_newick(text)
+        assert got.newick(17) == reference_newick(want, 17)
+        assert [(x.depth, x.label) for x in got.nodes()] == [(x.depth, x.label) for x in want.nodes()]
+        for label in [x for x in got.leaf_labels() if x][:5]:
+            assert ([x.depth for x in got._path_to(label)]
+                    == [x.depth for x in reference_path_to(want, label)])
+        with pytest.raises(ValidationError, match="no leaf labelled"):
+            got._path_to("missing")
+
+
+def test_newick_parse_errors_match_recursive_reference():
+    for text in ["(a:1,b:2;", "(a:1,b:2))x;", "a:1:2;", "(a:x);", "a", "(a,(b,c);", "a;b;"]:
+        errors = []
+        for parse in (parse_newick, reference_parse_newick):
+            with pytest.raises((ValidationError, ValueError)) as info:
+                parse(text)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1], text
+
+
+def test_deep_caterpillar_newick_round_trip():
+    n = 5000
+    c = Comb.from_arrays(n + 1.0, n + 1.0, np.arange(1.0, n + 1.0), np.arange(n, 0.0, -1.0))
+    text = comb_to_tree(c).newick()
+    assert text.count("(") == n + 1
+    back = parse_newick(text)
+    assert back.newick() == text
+    assert back.leaf_labels() == [str(i) for i in range(n + 1)]
+    assert all(d == n + 1.0 for d in back.leaf_depths())
+    assert back.distance("0", str(n)) == 2.0 * n
+    assert back.mrca_depth(str(n - 1), str(n)) == n
