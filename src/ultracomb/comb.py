@@ -52,44 +52,44 @@ class _RangeMax:
     Heights are cut into blocks of ``_BLOCK`` teeth; ``table[k, b]`` is
     the tallest tooth of blocks ``b .. b + 2**k - 1``, or +inf where that
     run leaves the comb (a sparse table over block maxima, as in Bender
-    and Farach-Colton, "The LCA problem revisited", LATIN 2000).  Memory
-    is ``n + n / _BLOCK * log2(n / _BLOCK)`` floats.  Every query is a
-    batch: a few gathers of at most ``_BLOCK`` heights per entry plus one
-    sparse-table step per level.  Maxima are exact, so answers equal a
-    direct scan bit for bit.
+    and Farach-Colton, "The LCA problem revisited", LATIN 2000).  Besides
+    the heights it reads, it holds ``(n / _BLOCK) log2(n / _BLOCK)``
+    floats.  Every query is a batch: a few gathers of ``_BLOCK`` heights
+    per entry plus one sparse-table step per level.  Maxima are exact,
+    so answers equal a direct scan bit for bit.
     """
 
-    __slots__ = ("n", "padded", "table")
+    __slots__ = ("heights", "table")
 
     def __init__(self, heights: np.ndarray):
         n = heights.size
         n_blocks = -(-n // _BLOCK)
-        # one extra block of -inf lets a window start anywhere in the comb
-        padded = np.full((n_blocks + 1) * _BLOCK, -np.inf)
-        padded[:n] = heights
         levels = max(1, n_blocks.bit_length())
         table = np.full((levels, n_blocks + 1), np.inf)
-        table[0, :n_blocks] = padded[:n_blocks * _BLOCK].reshape(n_blocks, _BLOCK).max(axis=1)
+        table[0, :n_blocks] = np.maximum.reduceat(heights, np.arange(0, n, _BLOCK))
         for k in range(1, levels):
             span = 1 << k
             half = span >> 1
             np.maximum(table[k - 1, :n_blocks + 1 - span],
                        table[k - 1, half:n_blocks + 1 - half], out=table[k, :n_blocks + 1 - span])
-        padded.flags.writeable = False
         table.flags.writeable = False
-        self.n = n
-        self.padded = padded
+        self.heights = heights
         self.table = table
+
+    def _gather(self, lo: np.ndarray) -> np.ndarray:
+        """``heights[lo + j]`` for j < _BLOCK, one row per entry.  Past the
+        last tooth its height repeats, which never moves a first hit: a
+        row that runs past tooth n-1 holds it earlier."""
+        return self.heights.take(lo[:, None] + _OFFSETS, mode="clip")
 
     def _window_max(self, lo: np.ndarray, count: np.ndarray) -> np.ndarray:
         """Tallest of ``heights[lo : lo + count]``, with 1 <= count <= _BLOCK."""
-        window = self.padded[lo[:, None] + _OFFSETS]
-        return np.where(_OFFSETS < count[:, None], window, -np.inf).max(axis=1)
+        return np.where(_OFFSETS < count[:, None], self._gather(lo), -np.inf).max(axis=1)
 
     def range_max(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Tallest tooth over each index slice [lo, hi); 0.0 where empty."""
         lo, hi = np.broadcast_arrays(np.maximum(np.asarray(lo, dtype=np.int64), 0),
-                                     np.minimum(np.asarray(hi, dtype=np.int64), self.n))
+                                     np.minimum(np.asarray(hi, dtype=np.int64), self.heights.size))
         live = hi > lo
         lo, hi = lo[live], hi[live]
         # the first and last _BLOCK teeth of the slice cover its partial blocks
@@ -107,11 +107,11 @@ class _RangeMax:
         """First index >= start whose height is > level (n if none)."""
         starts, levels = np.broadcast_arrays(np.maximum(np.asarray(starts, dtype=np.int64), 0),
                                              np.asarray(levels, dtype=float))
-        n = self.n
+        n = self.heights.size
         out = np.full(starts.shape, n, dtype=np.int64)
         live = starts < n
         start, level = starts[live], levels[live]
-        hits = self.padded[start[:, None] + _OFFSETS] > level[:, None]
+        hits = self._gather(start) > level[:, None]
         found = hits.any(axis=1)
         answer = np.where(found, start + hits.argmax(axis=1), n)
         # the rest: binary lifting over block maxima, skipping every run
@@ -120,8 +120,8 @@ class _RangeMax:
         block = start[~found] // _BLOCK + 1
         for k in range(self.table.shape[0] - 1, -1, -1):
             block += (self.table[k, block] <= level).astype(np.int64) << k
-        # block == n_blocks lands in the -inf block: no hit, answer n
-        hits = self.padded[block[:, None] * _BLOCK + _OFFSETS] > level[:, None]
+        # block == n_blocks lies past the last tooth: no hit, answer n
+        hits = self._gather(block * _BLOCK) > level[:, None]
         answer[~found] = np.where(hits.any(axis=1), block * _BLOCK + hits.argmax(axis=1), n)
         out[live] = answer
         return out

@@ -145,10 +145,10 @@ class MutationSet:
         lie strictly between 0 and its branch height; the first offending
         atom is named."""
         branch, depth = self.branch, self.depth
-        n = comb.n_teeth
-        tooth = (branch >= 0) & (branch < n)
+        tooth = (branch >= 0) & (branch < comb.n_teeth)
         bad_branch = ~tooth & (branch != ORIGIN_BRANCH)
-        height = np.append(comb.heights, comb.origin_height)[np.where(tooth, branch, n)]
+        height = np.full(branch.shape, comb.origin_height)
+        height[tooth] = comb.heights[branch[tooth]]
         bad = bad_branch | ~((0.0 < depth) & (depth < height))
         if bad.any():
             k = int(bad.argmax())
@@ -169,9 +169,13 @@ class MutationSet:
         """
         self.validate_for(comb)
         tooth = self.branch != ORIGIN_BRANCH
-        edges = np.append(comb.positions, comb.interval_length)
         stop = comb.next_taller_batch(np.where(tooth, self.branch + 1, 0), self.depth)
-        return np.where(tooth, edges[self.branch], 0.0), edges[stop]
+        start = np.zeros(stop.shape)
+        start[tooth] = comb.positions[self.branch[tooth]]
+        end = np.full(stop.shape, comb.interval_length)
+        inside = stop < comb.n_teeth
+        end[inside] = comb.positions[stop[inside]]
+        return start, end
 
     def to_list(self) -> list[dict]:
         return [{"branch": "origin" if b == ORIGIN_BRANCH else b, "depth": d}

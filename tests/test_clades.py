@@ -108,9 +108,9 @@ def test_index_is_built_once_and_read_only():
     c.next_taller(3, 0.5)
     c.max_height_between(0, 400)
     assert c._range_index() is index
-    assert not index.padded.flags.writeable and not index.table.flags.writeable
+    assert index.heights is c.heights and not index.table.flags.writeable
     # far below a float64 sparse table over every tooth
-    assert index.padded.nbytes + index.table.nbytes < 0.2 * c.n_teeth * 8 * 9
+    assert index.table.nbytes < 0.05 * c.n_teeth * 8 * 9
     assert not hasattr(c, "__dict__")
 
 
