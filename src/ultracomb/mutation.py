@@ -214,7 +214,8 @@ def scatter_mutations(comb: Comb, measure: MutationMeasure, include_origin: bool
         raise ValidationError("mutation measure must be finite on the tooth heights")
     counts = gen.poisson(masses) if comb.n_teeth else np.empty(0, dtype=int)
     total = int(counts.sum()) if comb.n_teeth else 0
-    branches = np.repeat(np.arange(comb.n_teeth), counts)
+    hit = np.flatnonzero(counts)  # few branches carry atoms; no n-length index
+    branches = np.repeat(hit, counts[hit])
     depths = np.empty(0)
     if total:
         u = gen.random(total)
