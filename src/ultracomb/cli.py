@@ -211,6 +211,8 @@ def cmd_spectrum(args) -> int:
     if args.mode == "sample":
         if args.model != "kingman":
             raise ValidationError("sample mode supports --model kingman only")
+        if args.reps < 1:
+            raise ValidationError(f"sample mode needs --reps >= 1, got {args.reps}")
         if args.n_teeth is None:
             args.n_teeth = max(64, 50 * args.n)
         spectra = _run_sharded(_spectrum_worker, range(args.reps), args.jobs, (args,))

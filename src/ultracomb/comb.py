@@ -47,16 +47,16 @@ _OFFSETS = np.arange(_BLOCK)
 
 
 class _RangeMax:
-    """Read-only range-maximum index over tooth heights.
+    """Read-only index over tooth heights: the first tooth above a level.
 
     Heights are cut into blocks of ``_BLOCK`` teeth; ``table[k, b]`` is
     the tallest tooth of blocks ``b .. b + 2**k - 1``, or +inf where that
     run leaves the comb (a sparse table over block maxima, as in Bender
     and Farach-Colton, "The LCA problem revisited", LATIN 2000).  Besides
     the heights it reads, it holds ``(n / _BLOCK) log2(n / _BLOCK)``
-    floats.  Every query is a batch: a few gathers of ``_BLOCK`` heights
-    per entry plus one sparse-table step per level.  Maxima are exact,
-    so answers equal a direct scan bit for bit.
+    floats.  A batch of queries costs a few gathers of ``_BLOCK`` heights
+    per entry plus one sparse-table step per level; answers equal a
+    direct scan.
     """
 
     __slots__ = ("heights", "table")
@@ -81,27 +81,6 @@ class _RangeMax:
         last tooth its height repeats, which never moves a first hit: a
         row that runs past tooth n-1 holds it earlier."""
         return self.heights.take(lo[:, None] + _OFFSETS, mode="clip")
-
-    def _window_max(self, lo: np.ndarray, count: np.ndarray) -> np.ndarray:
-        """Tallest of ``heights[lo : lo + count]``, with 1 <= count <= _BLOCK."""
-        return np.where(_OFFSETS < count[:, None], self._gather(lo), -np.inf).max(axis=1)
-
-    def range_max(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Tallest tooth over each index slice [lo, hi); 0.0 where empty."""
-        lo, hi = np.broadcast_arrays(np.maximum(np.asarray(lo, dtype=np.int64), 0),
-                                     np.minimum(np.asarray(hi, dtype=np.int64), self.heights.size))
-        live = hi > lo
-        lo, hi = lo[live], hi[live]
-        # the first and last _BLOCK teeth of the slice cover its partial blocks
-        tail = np.maximum(hi - _BLOCK, lo)
-        best = np.maximum(self._window_max(lo, np.minimum(hi - lo, _BLOCK)),
-                          self._window_max(tail, hi - tail))
-        first, stop = -(-lo // _BLOCK), hi // _BLOCK  # whole blocks [first, stop)
-        k = np.frexp(np.maximum(stop - first, 1).astype(float))[1] - 1  # floor(log2(count))
-        blocks = np.maximum(self.table[k, first], self.table[k, stop - (1 << k)])
-        out = np.zeros(live.shape)
-        out[live] = np.where(stop > first, np.maximum(best, blocks), best)
-        return out
 
     def next_above(self, starts: np.ndarray, levels: np.ndarray) -> np.ndarray:
         """First index >= start whose height is > level (n if none)."""
@@ -134,8 +113,8 @@ class Comb:
     interval; heights are positive and strictly below ``origin_height``.
     Heights may tie (ball partitions use <= consistently), positions may
     not.  Instances are safe to share across workers; treat the arrays
-    as read-only.  Range queries go through one read-only range-max
-    index, built on the first query and never changed after.
+    as read-only.  ``next_taller`` queries go through one read-only
+    index, built on the first such query and never changed after.
     """
 
     __slots__ = ("interval_length", "origin_height", "positions", "heights", "_index")
@@ -204,17 +183,11 @@ class Comb:
             return float(self.heights[i])
         return 0.0
 
-    def max_height_batch(self, lo, hi) -> np.ndarray:
-        """Max tooth height over each index slice [lo, hi); 0.0 where empty.
-
-        ``lo`` and ``hi`` are integer arrays (or scalars) of equal shape;
-        the whole batch costs O(len * (_BLOCK + log n)).
-        """
-        return self._range_index().range_max(lo, hi)
-
     def max_height_between(self, lo: int, hi: int) -> float:
-        """Max tooth height over index slice [lo, hi); 0.0 if empty."""
-        return float(self.max_height_batch(np.array([lo]), np.array([hi]))[0])
+        """Max tooth height over index slice [lo, hi), clipped to the
+        teeth; 0.0 if empty."""
+        lo, hi = max(lo, 0), min(hi, self.n_teeth)
+        return float(self.heights[lo:hi].max()) if hi > lo else 0.0
 
     def next_taller_batch(self, starts, levels) -> np.ndarray:
         """For each (start, level): the first tooth index >= start whose
@@ -382,20 +355,22 @@ def ball_partition(comb: Comb, positions: Sequence[float], radius: float) -> Par
     <= radius.  On a comb the blocks are contiguous in position order,
     so the partition is cut at inter-sample gaps whose tallest tooth
     exceeds radius/2.  An empty position list yields an empty partition.
+
+    Cost is O(n + s log s) for n teeth and s positions: one prefix count
+    of the teeth taller than radius/2, read at every sample.
     """
-    if radius <= 0.0:
+    if not radius > 0.0:
         raise ValidationError("radius must be positive")
     pts = np.asarray(list(positions), dtype=float)
     if pts.size == 0:
         return Partition(())
-    if np.any(pts < 0.0) or np.any(pts > comb.interval_length):
+    if not np.all((pts >= 0.0) & (pts <= comb.interval_length)):
         raise ValidationError("sample positions outside the comb interval")
     order = np.argsort(pts, kind="stable")
     cut = np.searchsorted(comb.positions, pts[order], side="right")
-    # tallest tooth between consecutive samples; a taller one than
-    # radius/2 starts a new block
-    gaps = comb.max_height_batch(cut[:-1], cut[1:])
-    blocks = np.split(order, np.flatnonzero(~(2.0 * gaps <= radius)) + 1)
+    # tall teeth left of each sample; a rise between neighbours cuts them
+    tall_left = np.concatenate(([0], np.cumsum(~(2.0 * comb.heights <= radius))))[cut]
+    blocks = np.split(order, np.flatnonzero(tall_left[1:] > tall_left[:-1]) + 1)
     return Partition(tuple(frozenset(b.tolist()) for b in blocks))
 
 

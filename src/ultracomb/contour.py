@@ -149,21 +149,18 @@ def tree_from_contour(contour: ContourFunction) -> Tree:
     return _tree_from_separators(contour.after, contour.before[1:], contour.before[1:])
 
 
-def sphere_comb_from_contour(contour: ContourFunction, level: float,
-                             visit_width: float = 1.0) -> Comb:
+def sphere_comb_from_contour(contour: ContourFunction, level: float) -> Comb:
     """The comb of the coded tree's sphere at ``level``.
 
     Each maximal excursion of the path strictly below the level, between
     consecutive visits of the level, becomes one tooth of height
     ``level - inf(excursion)``.  Visits with no dip in between are the
     same boundary point and are merged; tangencies count as zero-width
-    visits.  Boundary points get ``visit_width`` of interval each, in
-    visit order, and the comb's origin height is the level itself.
+    visits.  Boundary points get a unit of interval each, in visit
+    order, and the comb's origin height is the level itself.
     """
     if level <= 0.0:
         raise ValidationError("level must be positive")
-    if visit_width <= 0.0:
-        raise ValidationError("visit_width must be positive")
     times, after = contour.times, contour.after
     k = len(times)
 
@@ -189,6 +186,6 @@ def sphere_comb_from_contour(contour: ContourFunction, level: float,
     if n_visits == 0:
         raise EmptySphereError(f"the contour never reaches level {level}")
 
-    positions = visit_width * np.arange(1, n_visits, dtype=float)
-    return Comb.from_arrays(visit_width * n_visits, level,
+    positions = np.arange(1, n_visits, dtype=float)
+    return Comb.from_arrays(float(n_visits), level,
                             positions, np.asarray(teeth_heights, dtype=float))

@@ -448,7 +448,7 @@ def cpp_intensity_from_pure_birth(birth_cumulative: Callable, change: TimeChange
     def tail(t):
         return math.exp(birth_cumulative(change.inverse(t)))
 
-    def tail_inverse(y, _lo=1e-300):
+    def tail_inverse(y):
         # tail is decreasing on (0, horizon]; bisect on log-spaced depths
         lo, hi = horizon * 1e-15, horizon
         if tail(hi) >= y:

@@ -311,7 +311,7 @@ def assign_alleles(comb: Comb, mutations: MutationSet,
     index.
     """
     pts = np.asarray(list(positions), dtype=float)
-    if pts.size and (pts.min() < 0.0 or pts.max() > comb.interval_length):
+    if not np.all((pts >= 0.0) & (pts <= comb.interval_length)):
         raise ValidationError("sample positions outside the comb interval")
     labels = [None if v < 0 else v for v in _allele_labels(comb, mutations, pts).tolist()]
     return Partition.from_labels(labels), labels

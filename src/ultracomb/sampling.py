@@ -31,6 +31,9 @@ __all__ = [
     "unrescale_comb",
 ]
 
+# attempts sample_splitting_tree makes before it reports extinction
+_SPLITTING_RETRIES = 10_000
+
 
 @dataclass(frozen=True)
 class CppSample:
@@ -150,34 +153,28 @@ def sample_cpp(model: IntensityModel, horizon: float, eps: float,
 
 
 def sample_cpp_fixed_width(model: IntensityModel, width: float, eps: float,
-                           rng: RandomSource, height_cap: float | None = None
-                           ) -> Comb:
+                           rng: RandomSource) -> Comb:
     """Teeth of an unkilled coalescent point process on a fixed window.
 
     By independence of the underlying point process, conditioning the
     killed width to exceed ``width`` leaves the teeth on [0, width]
     unconditioned, so this is the window every almost-sure statement
-    about unbounded-height processes gets checked on.  With a height
-    cap, heights are restricted to [eps, cap) and the cap becomes the
-    comb height; otherwise heights are unbounded and the origin is set
-    just above the tallest tooth.
+    about unbounded-height processes gets checked on.  Heights above
+    ``eps`` are unbounded, and the origin is set one unit above the
+    tallest tooth (at 1.0 for an empty window).
     """
     if width <= 0:
         raise ValidationError("width must be positive")
-    if eps < 0 or (height_cap is not None and eps >= height_cap):
-        raise ValidationError("need 0 <= eps (< height_cap when capped)")
+    if eps < 0:
+        raise ValidationError("need 0 <= eps")
     nu_eps = float(model.tail(eps))
     if not math.isfinite(nu_eps):
         raise ValidationError(f"intensity tail at eps={eps} must be finite (raise eps)")
-    nu_cap = float(model.tail(height_cap)) if height_cap is not None else 0.0
     gen = rng.gen
-    count = int(gen.poisson(width * (nu_eps - nu_cap)))
-    heights = _tail_heights(model, gen, count, nu_cap, nu_eps, height_cap)
+    count = int(gen.poisson(width * nu_eps))
+    heights = _tail_heights(model, gen, count, 0.0, nu_eps, None)
     positions = _distinct_uniforms(gen, count, width)
-    if height_cap is not None:
-        origin = float(height_cap)
-    else:
-        origin = float(heights.max()) + 1.0 if count else 1.0
+    origin = float(heights.max()) + 1.0 if count else 1.0
     return Comb.from_arrays(width, origin, positions, heights)
 
 
@@ -212,7 +209,7 @@ def padic_comb(p: int, depth: int) -> Comb:
 
 
 def sample_splitting_tree(birth_rate: float, lifetime: Lifetime, horizon: float,
-                          rng: RandomSource, max_retries: int = 10_000) -> Tree:
+                          rng: RandomSource) -> Tree:
     """Simulate a binary splitting tree up to a horizon, conditioned on
     having at least one individual alive there.
 
@@ -222,14 +219,15 @@ def sample_splitting_tree(birth_rate: float, lifetime: Lifetime, horizon: float,
     comes first, then its children latest-born first, which is the
     orientation whose reduced comb is a coalescent point process.
     Leaves of survivors sit exactly at the horizon.  Raises
-    ResourceError if every attempt dies out before the horizon.
+    ResourceError if all ``_SPLITTING_RETRIES`` attempts die out before
+    the horizon.
     """
     if birth_rate <= 0:
         raise ValidationError("birth rate must be positive")
     if horizon <= 0:
         raise ValidationError("horizon must be positive")
     gen = rng.gen
-    for _ in range(max_retries):
+    for _ in range(_SPLITTING_RETRIES):
         births = [0.0]
         deaths = [float(lifetime.sample_death(0.0, gen))]
         children: list[list[int]] = [[]]
@@ -254,7 +252,7 @@ def sample_splitting_tree(birth_rate: float, lifetime: Lifetime, horizon: float,
         if any(d > horizon for d in deaths):
             break
     else:
-        raise ResourceError(f"no attempt out of {max_retries} survived to the horizon")
+        raise ResourceError(f"no attempt out of {_SPLITTING_RETRIES} survived to the horizon")
 
     # assemble lifeline chains bottom-up; children carry larger indices
     chains: list[TreeNode | None] = [None] * len(births)

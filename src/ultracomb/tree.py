@@ -9,12 +9,16 @@ codings and population reductions.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .errors import ValidationError
 
 __all__ = ["TreeNode", "Tree", "parse_newick"]
+
+# a node's label, then its optional ':'-prefixed edge length
+_LABEL_LENGTH = re.compile(r"([^,():;]*)(?::([^,()]*))?")
 
 
 @dataclass
@@ -188,18 +192,12 @@ def parse_newick(text: str) -> Tree:
             continue  # parse its first child
         while True:
             # node's children are complete: read its label and edge length
-            start = pos
-            while pos < len(s) and s[pos] not in ",():;":
-                pos += 1
-            if pos > start:
-                node.label = s[start:pos]
-            length = 0.0
-            if pos < len(s) and s[pos] == ":":
-                pos += 1
-                start = pos
-                while pos < len(s) and s[pos] not in ",()":
-                    pos += 1
-                length = float(s[start:pos])
+            match = _LABEL_LENGTH.match(s, pos)
+            label, length = match.groups()
+            pos = match.end()
+            if label:
+                node.label = label
+            length = 0.0 if length is None else float(length)
             if not open_nodes:
                 break
             # stash the edge length on depth; resolved below

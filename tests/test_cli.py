@@ -152,6 +152,10 @@ def test_exit_codes(tmp_path, capsys):
                  ["treecode", "--in", str(malformed), "--to", "newick"]):
         assert main(argv) == 2, argv
         assert "malformed JSON" in capsys.readouterr().err
+    for reps in ("0", "-3"):
+        assert main(["spectrum", "--mode", "sample", "--theta", "1", "--reps", reps,
+                     "--seed", "1", "--out", str(tmp_path / "s.csv")]) == 2
+        assert "--reps" in capsys.readouterr().err
     capsys.readouterr()
 
 

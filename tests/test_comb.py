@@ -128,6 +128,15 @@ def test_ball_partition_extremes():
     assert ball_partition(c, [], 1.0) == Partition(())
 
 
+def test_ball_partition_input_checks():
+    for radius in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ValidationError, match="radius"):
+            ball_partition(EXAMPLE, [0.1, 0.1, 0.9], radius)
+    for pts in ([0.1, float("nan")], [float("nan")], [-0.1, 0.5], [1.5]):
+        with pytest.raises(ValidationError, match="outside"):
+            ball_partition(EXAMPLE, pts, 1.0)
+
+
 def test_ball_partition_matches_pairwise_oracle():
     gen = np.random.default_rng(104)
     for _ in range(100):

@@ -157,6 +157,13 @@ def test_assign_nested_clades():
     assert labels == [outer, inner, outer]
 
 
+def test_assign_rejects_positions_outside_the_interval():
+    ms = MutationSet([(1, 0.7)])
+    for pts in ([0.1, float("nan")], [float("nan")], [-0.1, 0.5], [1.5]):
+        with pytest.raises(ValidationError, match="outside"):
+            assign_alleles(EXAMPLE, ms, pts)
+
+
 def test_assign_matches_lineage_walk_oracle():
     gen = np.random.default_rng(501)
     rng = RandomSource(7)
