@@ -156,6 +156,8 @@ def cmd_sample(args) -> int:
         results = [padic_comb(args.p, args.depth).to_dict()]
     else:
         _require_seed(args)
+        if args.reps < 0:
+            raise ValidationError(f"--reps must be nonnegative, got {args.reps}")
         results = _run_sharded(_sample_worker, range(args.reps), args.jobs, (args,))
     cfg = _config_dict(args, ["model", "T", "eps", "seed", "reps", "n_teeth",
                               "p", "depth", "b", "lifetime", "jobs"])

@@ -159,33 +159,33 @@ def sphere_comb_from_contour(contour: ContourFunction, level: float) -> Comb:
     visits.  Boundary points get a unit of interval each, in visit
     order, and the comb's origin height is the level itself.
     """
-    if level <= 0.0:
+    if not level > 0.0:
         raise ValidationError("level must be positive")
-    times, after = contour.times, contour.after
-    k = len(times)
+    return _sphere_comb(contour.after, contour.before[1:] + (0.0,), level)
 
-    # Each decay segment visits the level at most once (monotone between
-    # jumps); up-jumps over the level identify with the next down-cross.
-    n_visits = 0
-    teeth_heights: list[float] = []
-    dip = math.inf  # running inf of the path since the last visit
 
-    for i in range(k):
-        seg_end = times[i + 1] if i + 1 < k else contour.support_end
-        bottom = max(after[i] - (seg_end - times[i]), 0.0)
-        if after[i] >= level >= bottom:
-            if n_visits == 0:
-                n_visits = 1
-            elif dip < level:
-                teeth_heights.append(level - dip)
-                n_visits += 1
-            # else: no dip below the level since the last visit, so this
-            # is the same sphere point (distance 0); merge silently
-            dip = level
-        dip = min(dip, bottom)
-    if n_visits == 0:
-        raise EmptySphereError(f"the contour never reaches level {level}")
+def _sphere_comb(depths, bottoms, level: float) -> Comb:
+    """The sphere comb of a path that jumps up to ``depths[i]`` and then
+    falls to ``bottoms[i]``, for i in order.
 
-    positions = np.arange(1, n_visits, dtype=float)
+    Each fall is monotone, so segment i visits the level at most once,
+    when ``depths[i] >= level >= bottoms[i]``.  Consecutive visits are
+    separated by a tooth of height ``level - dip``, the dip being the
+    lowest bottom from the earlier visit up to the later one; visits
+    with no dip below the level are one point and merge.  O(n) in the
+    number of segments.
+    """
+    depths = np.asarray(depths, dtype=float)
+    bottoms = np.asarray(bottoms, dtype=float)
+    visits = np.flatnonzero((depths >= level) & (level >= bottoms))
+    if visits.size == 0:
+        raise EmptySphereError(f"nothing reaches level {level}")
+    dips = np.minimum.reduceat(bottoms, visits)[:-1]
+    teeth = level - dips[dips < level]
+    if np.any(teeth >= level):
+        raise ValidationError(f"lineages reaching level {level} only meet at depth "
+                              f"{level - float(teeth.max()):g}, at the root: the sphere "
+                              "is a forest, not a comb")
+    n_visits = teeth.size + 1
     return Comb.from_arrays(float(n_visits), level,
-                            positions, np.asarray(teeth_heights, dtype=float))
+                            np.arange(1, n_visits, dtype=float), teeth)

@@ -258,7 +258,7 @@ def solve_scale_function(model: PopulationModel, horizon: float, steps: int) -> 
     """
     if steps < 16:
         raise ValidationError("steps must be at least 16")
-    if horizon <= 0:
+    if not horizon > 0:
         raise ValidationError("horizon must be positive")
     n = int(steps)
     dt = horizon / n
@@ -442,7 +442,7 @@ def cpp_intensity_from_pure_birth(birth_cumulative: Callable, change: TimeChange
     the coalescent point process a time-changed pure-birth boundary give
     rise to.  The inverse is solved by bisection on the tail.
     """
-    if horizon <= 0:
+    if not horizon > 0:
         raise ValidationError("horizon must be positive")
 
     def tail(t):

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comb import Comb
+from .contour import _sphere_comb
 from .errors import ResourceError, ValidationError
 from .intensity import IntensityModel, Lifetime
 from .rng import RandomSource
-from .tree import Tree, TreeNode
+from .tree import Tree, _tree_from_separators
 
 __all__ = [
     "CppSample",
@@ -111,7 +112,7 @@ def _killed_comb(model: IntensityModel, horizon: float, eps: float, gen
                  ) -> tuple[Comb, float]:
     """The comb of :func:`sample_cpp` before its killing atom, and the
     intensity tail at the horizon.  Draws width, count, heights, positions."""
-    if horizon <= 0:
+    if not horizon > 0:
         raise ValidationError("horizon must be positive")
     if not 0 <= eps < horizon:
         raise ValidationError("need 0 <= eps < horizon")
@@ -217,23 +218,27 @@ def sample_splitting_tree(birth_rate: float, lifetime: Lifetime, horizon: float,
     (event-driven; births after the horizon are not generated).  The
     returned tree is planar in contour order: each individual's tip
     comes first, then its children latest-born first, which is the
-    orientation whose reduced comb is a coalescent point process.
-    Leaves of survivors sit exactly at the horizon.  Raises
+    orientation whose reduced comb is a coalescent point process.  The
+    stack pops individuals in that order, so the tree is built as their
+    jumping contour: tips ``min(death, horizon)``, each diverging from
+    the one before at its birth time.  Leaves are labelled by draw
+    index; leaves of survivors sit exactly at the horizon.  Raises
     ResourceError if all ``_SPLITTING_RETRIES`` attempts die out before
     the horizon.
     """
-    if birth_rate <= 0:
-        raise ValidationError("birth rate must be positive")
-    if horizon <= 0:
-        raise ValidationError("horizon must be positive")
+    if not 0 < birth_rate < math.inf:
+        raise ValidationError(f"birth rate must be positive and finite, got {birth_rate}")
+    if not 0 < horizon < math.inf:
+        raise ValidationError(f"horizon must be positive and finite, got {horizon}")
     gen = rng.gen
     for _ in range(_SPLITTING_RETRIES):
         births = [0.0]
         deaths = [float(lifetime.sample_death(0.0, gen))]
-        children: list[list[int]] = [[]]
+        order: list[int] = []  # individuals in contour order
         stack = [0]
         while stack:
             i = stack.pop()
+            order.append(i)
             window = min(deaths[i], horizon) - births[i]
             if window <= 0:
                 continue
@@ -243,25 +248,19 @@ def sample_splitting_tree(birth_rate: float, lifetime: Lifetime, horizon: float,
             times = births[i] + window * gen.random(m)
             times.sort()
             for t in times:
-                j = len(births)
+                stack.append(len(births))
                 births.append(float(t))
                 deaths.append(float(lifetime.sample_death(float(t), gen)))
-                children[i].append(j)
-                children.append([])
-                stack.append(j)
         if any(d > horizon for d in deaths):
             break
     else:
         raise ResourceError(f"no attempt out of {_SPLITTING_RETRIES} survived to the horizon")
 
-    # assemble lifeline chains bottom-up; children carry larger indices
-    chains: list[TreeNode | None] = [None] * len(births)
-    for i in range(len(births) - 1, -1, -1):
-        node = TreeNode(depth=min(deaths[i], horizon), label=str(i))
-        for j in reversed(children[i]):
-            node = TreeNode(depth=births[j], children=[node, chains[j]])
-        chains[i] = node
-    return Tree(TreeNode(depth=0.0, children=[chains[0]]))
+    splits = [births[i] for i in order[1:]]
+    tree = _tree_from_separators([min(deaths[i], horizon) for i in order], splits, splits)
+    for leaf, i in zip(tree.leaves(), order):
+        leaf.label = str(i)
+    return tree
 
 
 def reduce_population_tree(tree: Tree, horizon: float) -> Comb:
@@ -269,39 +268,28 @@ def reduce_population_tree(tree: Tree, horizon: float) -> Comb:
 
     Survivors are the edges crossing the horizon, in planar order; each
     gets a unit of interval, and consecutive survivors are separated by
-    a tooth whose height is the time back to their divergence.  Raises
-    if nothing reaches the horizon.
+    a tooth whose height is the time back to their divergence.  One
+    explicit-stack pass reads the tree as a contour, in O(n): leaf
+    depths, and between neighbouring leaves the depth of the node where
+    the later one branches off.  Raises if nothing reaches the horizon,
+    or if survivors only meet at depth 0.
     """
-    if horizon <= 0:
+    if not horizon > 0:
         raise ValidationError("horizon must be positive")
-    paths: list[tuple] = []  # ancestor chains (node ids with depths) per survivor
-
-    def walk(node: TreeNode, chain: list[tuple[int, float]]):
-        chain.append((id(node), node.depth))
-        for child in node.children:
-            if child.depth >= horizon:
-                if node.depth < horizon:
-                    paths.append(tuple(chain))
-                # subtrees above the horizon carry no further survivors
-            else:
-                walk(child, chain)
-        chain.pop()
-
-    walk(tree.root, [])
-    n = len(paths)
-    if n == 0:
-        raise ValidationError(f"no lineage reaches the horizon {horizon}")
-    heights = np.empty(n - 1)
-    for k in range(1, n):
-        prev, cur = paths[k - 1], paths[k]
-        depth = tree.root.depth
-        for a, b in zip(prev, cur):
-            if a[0] != b[0]:
-                break
-            depth = a[1]
-        heights[k - 1] = horizon - depth
-    positions = np.arange(1, n, dtype=float)
-    return Comb.from_arrays(float(n), horizon, positions, heights)
+    depths: list[float] = []
+    gaps: list[float] = []  # per leaf, where it branches off the previous one
+    stack = [(tree.root, tree.root.depth)]
+    while stack:
+        node, gap = stack.pop()
+        kids = node.children
+        if kids:
+            stack += [(child, node.depth) for child in kids[:0:-1]]
+            stack.append((kids[0], gap))
+        else:
+            depths.append(node.depth)
+            gaps.append(gap)
+    gaps.append(tree.root.depth)  # the last leaf falls back to the root
+    return _sphere_comb(depths, gaps[1:], horizon)
 
 
 def rescale_comb(comb: Comb, eps: float) -> Comb:

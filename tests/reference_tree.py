@@ -1,16 +1,24 @@
-"""Reference oracle for the tree builders, Newick export and parsing.
+"""Reference oracle for the tree builders, Newick export and parsing,
+splitting trees and their level spheres.
 
-These are the original recursive definitions: split a range at every
-occurrence of its tallest tooth (or lowest trough) and recurse on the
-pieces; emit and parse Newick one node per call.  They are limited by
-the recursion depth (and the builders are O(n^2) on caterpillars), so
-the tests use them on small inputs only and compare the iterative code
-in ``ultracomb.tree`` against them.
+These are the original definitions: split a range at every occurrence
+of its tallest tooth (or lowest trough) and recurse on the pieces; emit
+and parse Newick one node per call; assemble a splitting tree as chains
+of lifelines, reduce it by a recursive walk and a comparison of
+ancestor chains, and read a contour's sphere one segment at a time.
+They are limited by the recursion depth (and the builders are O(n^2) on
+caterpillars), so the tests use them on small inputs only and compare
+the code in ``ultracomb`` against them.
 """
 
 from __future__ import annotations
 
-from ultracomb import Comb, ContourFunction, Tree, TreeNode, ValidationError
+import math
+
+import numpy as np
+
+from ultracomb import (Comb, ContourFunction, EmptySphereError, ResourceError, Tree,
+                       TreeNode, ValidationError)
 
 
 def reference_comb_to_tree(comb: Comb) -> Tree:
@@ -148,3 +156,94 @@ def reference_path_to(tree: Tree, label: str) -> list[TreeNode] | None:
         return None
 
     return walk(tree.root, [])
+
+
+def reference_sample_splitting_tree(birth_rate, lifetime, horizon, rng) -> Tree:
+    gen = rng.gen
+    for _ in range(10_000):
+        births = [0.0]
+        deaths = [float(lifetime.sample_death(0.0, gen))]
+        children: list[list[int]] = [[]]
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            window = min(deaths[i], horizon) - births[i]
+            if window <= 0:
+                continue
+            m = int(gen.poisson(birth_rate * window))
+            if m == 0:
+                continue
+            times = births[i] + window * gen.random(m)
+            times.sort()
+            for t in times:
+                j = len(births)
+                births.append(float(t))
+                deaths.append(float(lifetime.sample_death(float(t), gen)))
+                children[i].append(j)
+                children.append([])
+                stack.append(j)
+        if any(d > horizon for d in deaths):
+            break
+    else:
+        raise ResourceError("no attempt survived to the horizon")
+
+    # lifeline chains bottom-up; children carry larger indices
+    chains: list[TreeNode | None] = [None] * len(births)
+    for i in range(len(births) - 1, -1, -1):
+        node = TreeNode(depth=min(deaths[i], horizon), label=str(i))
+        for j in reversed(children[i]):
+            node = TreeNode(depth=births[j], children=[node, chains[j]])
+        chains[i] = node
+    return Tree(TreeNode(depth=0.0, children=[chains[0]]))
+
+
+def reference_reduce_population_tree(tree: Tree, horizon: float) -> Comb:
+    paths: list[tuple] = []  # ancestor chains (node ids with depths) per survivor
+
+    def walk(node: TreeNode, chain: list[tuple[int, float]]):
+        chain.append((id(node), node.depth))
+        for child in node.children:
+            if child.depth >= horizon:
+                if node.depth < horizon:
+                    paths.append(tuple(chain))
+            else:
+                walk(child, chain)
+        chain.pop()
+
+    walk(tree.root, [])
+    n = len(paths)
+    if n == 0:
+        raise ValidationError(f"no lineage reaches the horizon {horizon}")
+    heights = np.empty(n - 1)
+    for k in range(1, n):
+        prev, cur = paths[k - 1], paths[k]
+        depth = tree.root.depth
+        for a, b in zip(prev, cur):
+            if a[0] != b[0]:
+                break
+            depth = a[1]
+        heights[k - 1] = horizon - depth
+    return Comb.from_arrays(float(n), horizon, np.arange(1, n, dtype=float), heights)
+
+
+def reference_sphere_comb(contour: ContourFunction, level: float) -> Comb:
+    times, after = contour.times, contour.after
+    k = len(times)
+    n_visits = 0
+    teeth_heights: list[float] = []
+    dip = math.inf  # running inf of the path since the last visit
+    for i in range(k):
+        seg_end = times[i + 1] if i + 1 < k else contour.support_end
+        bottom = max(after[i] - (seg_end - times[i]), 0.0)
+        if after[i] >= level >= bottom:
+            if n_visits == 0:
+                n_visits = 1
+            elif dip < level:
+                teeth_heights.append(level - dip)
+                n_visits += 1
+            dip = level
+        dip = min(dip, bottom)
+    if n_visits == 0:
+        raise EmptySphereError(f"the contour never reaches level {level}")
+    return Comb.from_arrays(float(n_visits), level, np.arange(1, n_visits, dtype=float),
+                            np.asarray(teeth_heights, dtype=float))

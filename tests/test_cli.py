@@ -156,6 +156,22 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["spectrum", "--mode", "sample", "--theta", "1", "--reps", reps,
                      "--seed", "1", "--out", str(tmp_path / "s.csv")]) == 2
         assert "--reps" in capsys.readouterr().err
+    assert main(["sample", "--model", "kingman", "--reps", "-2", "--seed", "1",
+                 "--out", str(tmp_path / "k.json")]) == 2
+    assert "--reps" in capsys.readouterr().err
+    assert main(["sample", "--model", "kingman", "--reps", "0", "--seed", "1",
+                 "--out", str(tmp_path / "k.json")]) == 0
+    assert main(["solve-w", "--T", "nan", "--out", str(tmp_path / "w.csv")]) == 2
+    for horizon in ("nan", "inf"):
+        assert main(["sample", "--model", "splitting", "--b", "0.5", "--T", horizon,
+                     "--seed", "1", "--out", str(tmp_path / "t.json")]) == 2
+        assert "horizon" in capsys.readouterr().err
+        assert main(["sample", "--model", "splitting", "--b", horizon, "--T", "1",
+                     "--seed", "1", "--out", str(tmp_path / "t.json")]) == 2
+        assert "birth rate" in capsys.readouterr().err
+    assert main(["sample", "--model", "cpp-critical-bd", "--T", "nan", "--seed", "1",
+                 "--out", str(tmp_path / "c.json")]) == 2
+    assert "horizon must be positive" in capsys.readouterr().err
     capsys.readouterr()
 
 

@@ -9,7 +9,7 @@ from ultracomb import (ContourFunction, EmptySphereError, ValidationError,
                        comb_distance, sphere_comb_from_contour,
                        tree_from_contour)
 
-from reference_tree import reference_tree_from_contour
+from reference_tree import reference_sphere_comb, reference_tree_from_contour
 
 
 def test_contour_validation():
@@ -191,3 +191,32 @@ def test_sphere_comb_consistent_with_decoded_tree():
     for i, j in itertools.combinations(range(len(deep)), 2):
         want = 2.0 * (level - tree.mrca_depth(deep[i], deep[j]))
         assert comb_distance(comb, mids[i], mids[j]) == pytest.approx(want)
+
+
+def test_sphere_comb_rejects_lineages_meeting_at_depth_zero():
+    # the path touches 0 between its jumps: two trees, not one comb
+    h = ContourFunction.from_jumps([(0.0, 1.0), (2.0, 1.0)])
+    with pytest.raises(ValidationError, match="forest"):
+        sphere_comb_from_contour(h, 0.5)
+
+
+def test_sphere_comb_matches_reference():
+    # jumps on a coarse grid: ties, tangencies, troughs exactly at the
+    # level and touches of 0 all turn up
+    gen = np.random.default_rng(202)
+    compared = 0
+    for _ in range(500):
+        k = int(gen.integers(1, 9))
+        times = np.cumsum(0.5 * gen.integers(1, 6, k)) - 0.5
+        sizes = 0.5 * gen.integers(1, 8, k)
+        h = ContourFunction.from_jumps(list(zip(times.tolist(), sizes.tolist())))
+        for level in (0.5, 1.0, 1.5, 2.25, 3.0):
+            try:
+                want = reference_sphere_comb(h, level)
+            except ValidationError:
+                with pytest.raises(ValidationError):
+                    sphere_comb_from_contour(h, level)
+                continue
+            assert sphere_comb_from_contour(h, level) == want
+            compared += 1
+    assert compared > 1000

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ultracomb import (BoundaryPoint, ExponentialLifetime, Immortal,
-                       IntensityModel, PopulationModel, RandomSource,
-                       ValidationError, comb_distance, padic_comb,
-                       reduce_population_tree, rescale_comb, sample_cpp,
-                       sample_cpp_fixed_width, sample_kingman_comb,
+from ultracomb import (BoundaryPoint, Comb, ExponentialLifetime, FixedLifetime,
+                       Immortal, IntensityModel, PopulationModel, RandomSource,
+                       Tree, TreeNode, ValidationError, comb_distance, padic_comb,
+                       parse_newick, reduce_population_tree, rescale_comb,
+                       sample_cpp, sample_cpp_fixed_width, sample_kingman_comb,
                        sample_splitting_tree, solve_scale_function,
                        unrescale_comb)
+
+from reference_tree import (reference_reduce_population_tree,
+                            reference_sample_splitting_tree)
 
 
 def test_seed_determinism_byte_identical():
@@ -251,6 +254,96 @@ def test_reduce_requires_survivors():
     tree = sample_splitting_tree(1.0, Immortal(), 1.0, rng)
     with pytest.raises(ValidationError):
         reduce_population_tree(tree, 5.0)  # nothing reaches that horizon
+
+
+def _reduce_or_none(reduce, tree, level):
+    try:
+        return reduce(tree, level)
+    except ValidationError:
+        return None
+
+
+@pytest.mark.parametrize("birth_rate,lifetime,horizon", [
+    (0.5, ExponentialLifetime(1.0), 3.0),   # subcritical
+    (1.0, ExponentialLifetime(1.0), 3.0),   # critical
+    (1.0, Immortal(), 2.0),                 # pure birth
+    (2.0, FixedLifetime(1.0), 2.0),         # supercritical, deaths at a fixed age
+])
+def test_splitting_tree_matches_reference(birth_rate, lifetime, horizon):
+    # same draws, same tree to the last bit, same reduced combs
+    root = RandomSource(31)
+    for i in range(250):
+        tree = sample_splitting_tree(birth_rate, lifetime, horizon, root.spawn(i))
+        want = reference_sample_splitting_tree(birth_rate, lifetime, horizon, root.spawn(i))
+        assert tree.newick(17) == want.newick(17)
+        for level in (horizon, 0.7 * horizon, 0.25 * horizon):
+            got = _reduce_or_none(reduce_population_tree, tree, level)
+            ref = _reduce_or_none(reference_reduce_population_tree, want, level)
+            assert (got is None and ref is None) or got == ref
+
+
+def _random_grid_tree(gen) -> Tree:
+    # depths on a coarse grid, so ties, zero-length edges, multifurcations
+    # and nodes exactly at a level all turn up; most trees grow from a
+    # stem, the others split at the root
+    root = TreeNode(depth=0.0)
+    if gen.random() < 0.8:
+        root.children.append(TreeNode(depth=0.5))
+    frontier, n_nodes = list(root.children) or [root], 1
+    while frontier:
+        node = frontier.pop(int(gen.integers(len(frontier))))
+        if n_nodes > 30 or gen.random() < 0.2:
+            continue
+        for _ in range(int(gen.integers(2, 4))):
+            child = TreeNode(depth=node.depth + 0.5 * int(gen.integers(0, 4)))
+            node.children.append(child)
+            frontier.append(child)
+            n_nodes += 1
+    for k, leaf in enumerate(Tree(root).leaves()):
+        leaf.label = f"L{k}"
+    return parse_newick(Tree(root).newick(17))
+
+
+def test_reduce_parsed_trees_matches_reference():
+    gen = np.random.default_rng(32)
+    compared = 0
+    for _ in range(500):
+        tree = _random_grid_tree(gen)
+        for level in (0.5, 1.0, 1.5, 2.0, 2.75):
+            got = _reduce_or_none(reduce_population_tree, tree, level)
+            ref = _reduce_or_none(reference_reduce_population_tree, tree, level)
+            assert (got is None and ref is None) or got == ref
+            compared += got is not None
+    assert compared > 1000
+
+
+def test_reduce_rejects_lineages_meeting_at_root():
+    with pytest.raises(ValidationError, match="forest"):
+        reduce_population_tree(parse_newick("(A:1,B:1);"), 0.5)
+
+
+def test_reduce_deep_tree_without_recursion():
+    # a 5000-level caterpillar: each spine node sheds one leaf above the level
+    levels, top = 5000, 2.0
+    root = TreeNode(depth=0.0)
+    node = root
+    spine = [(k + 1) / (levels + 1) for k in range(levels)]
+    for depth in spine:
+        child = TreeNode(depth=depth)
+        node.children.append(child)
+        node = child
+        node.children.append(TreeNode(depth=top))
+    node.children.append(TreeNode(depth=top))
+    comb = reduce_population_tree(Tree(root), 1.0)
+    want = Comb.from_arrays(levels + 1.0, 1.0, np.arange(1, levels + 1, dtype=float),
+                            1.0 - np.asarray(spine))
+    assert comb == want
+
+
+def test_splitting_tree_rejects_nonfinite_horizon():
+    for horizon in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValidationError, match="horizon"):
+            sample_splitting_tree(0.5, Immortal(), horizon, RandomSource(33))
 
 
 # ----------------------------------------------------------------------
