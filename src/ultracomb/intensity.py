@@ -246,6 +246,29 @@ class ScaleSolution:
             yield t, w, nu
 
 
+def _heun_scan(b: np.ndarray, dt: float, rate: float) -> np.ndarray:
+    """W on the grid for an exponential(rate) lifetime (immortal: rate 0).
+
+    One Heun step maps (W_i, conv_i) linearly to (W_{i+1}, conv_{i+1}) by
+    a 2x2 matrix M_i, so W_i is the top-left entry of M_{i-1} ... M_0:
+    Hillis-Steele doubling forms every prefix in log2(n) passes.
+    """
+    h, hr, decay = 0.5 * dt, 0.5 * dt * rate, math.exp(-rate * dt)
+    hb0, hb1 = h * b[:-1], h * b[1:]
+    P = np.empty((2, 2, b.size))  # P[..., i] = M_{i-1} ... M_0
+    P[..., 0] = np.eye(2)
+    M = P[..., 1:]
+    M[0, 0] = 1 + hb0 + hb1 * ((1 - hr) * (1 + 2 * hb0) - hr * decay)
+    M[0, 1] = -hb0 - hb1 * (2 * (1 - hr) * hb0 + decay)
+    M[1, 0] = hr * (decay + M[0, 0])  # conv_{i+1} = decay conv_i + hr (decay W_i + W_{i+1})
+    M[1, 1] = decay + hr * M[0, 1]
+    d = 1
+    while d < b.size:
+        P[..., d:] = np.einsum("ikm,kjm->ijm", P[..., d:], P[..., :-d])
+        d *= 2
+    return P[0, 0].copy()
+
+
 def solve_scale_function(model: PopulationModel, horizon: float, steps: int) -> ScaleSolution:
     """Integrate W'(t) = b(horizon-t) (W(t) - conv(t)), W(0) = 1, where
     conv(t) integrates W against the death-time density of the lifetime.
@@ -254,77 +277,82 @@ def solve_scale_function(model: PopulationModel, horizon: float, steps: int) -> 
     integration of the convolution term; observed order is two against
     the closed forms (pure birth: W = e^{bt}; unit-rate critical
     birth-death: W = 1 + t).  Immortal lifetimes drop the convolution
-    term entirely, which the pure-birth closed form confirms.
+    term entirely, which the pure-birth closed form confirms.  Immortal
+    and exponential lifetimes solve all steps in one prefix-product scan
+    (O(n log n) vectorised work), matching the step-by-step loop that
+    fixed and custom lifetimes use to about 1e-12 relative.
     """
     if steps < 16:
         raise ValidationError("steps must be at least 16")
-    if not horizon > 0:
-        raise ValidationError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValidationError("horizon must be positive and finite")
     n = int(steps)
     dt = horizon / n
     ts = np.linspace(0.0, horizon, n + 1)
     try:
-        b = np.array([model.birth_rate_at(horizon - t) for t in ts], dtype=float)
+        b = (np.array([model.birth_rate_at(horizon - t) for t in ts], dtype=float)
+             if callable(model.birth_rate) else np.full(n + 1, model.birth_rate, dtype=float))
     except Exception as exc:
         raise NumericError(f"birth rate evaluation failed: {exc}") from exc
     if np.any(~np.isfinite(b)) or np.any(b < 0):
         raise NumericError("birth rate must be finite and nonnegative on [0, horizon]")
 
-    W = np.empty(n + 1)
-    W[0] = 1.0
-    conv = np.zeros(n + 1)  # W against the death-time density; 0 for immortals
     life = model.lifetime
+    if isinstance(life, (Immortal, ExponentialLifetime)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            W = _heun_scan(b, dt, getattr(life, "rate", 0.0))
+    else:
+        W = np.zeros(n + 1)
+        W[0] = 1.0
+        conv = np.zeros(n + 1)  # W against the death-time density
 
-    # the lifetime's step: conv_next(i, w) is conv[i + 1] when W[i + 1] = w
-    if isinstance(life, Immortal):
-        conv_next = lambda i, w: 0.0  # noqa: E731
-    elif isinstance(life, ExponentialLifetime):
-        # conv[i] = int_0^{t_i} W(s) r e^{-r(t_i - s)} ds
-        r = life.rate
-        decay = math.exp(-r * dt)
-        conv_next = lambda i, w: decay * conv[i] + 0.5 * dt * (r * decay * W[i] + r * w)  # noqa: E731
-    elif isinstance(life, FixedLifetime):
-        def conv_next(i: int, w: float) -> float:
-            # W(t_{i+1} - length) by linear interpolation, 0 before the delay
-            # kicks in; w stands in for W[i+1] when the delay is under one step
-            t = ts[i + 1] - life.length
-            if t <= 0.0:
-                return 0.0
-            x = t / dt
-            j = int(x)
-            frac = x - j
-            if frac == 0.0:
-                return float(W[j])
-            hi = w if j == i else W[j + 1]
-            return float(W[j] * (1 - frac) + frac * hi)
-    elif isinstance(life, CustomLifetime):
-        def conv_next(i: int, w: float) -> float:
-            # trapezoid of W(s) g(horizon - t_{i+1}, horizon - s) over s in [0, t_{i+1}]
-            t_next = ts[i + 1]
-            kernel = life.density(horizon - t_next, horizon - ts[:i + 2])
-            kernel = np.asarray(kernel, dtype=float)
-            if np.any(~np.isfinite(kernel)) or np.any(kernel < 0):
-                raise NumericError(
-                    f"death-time density is not finite and nonnegative at t={t_next} "
-                    f"(non-integrable lifetime density?)"
-                )
-            return float(np.trapezoid(np.append(W[:i + 1], w) * kernel, dx=dt))
-    else:  # pragma: no cover - exhaustive above
-        raise ValidationError(f"unsupported lifetime {life!r}")
+        # the lifetime's step: conv_next(i, w) is conv[i + 1] when W[i + 1] = w
+        if isinstance(life, FixedLifetime):
+            def conv_next(i: int, w: float) -> float:
+                # W(t_{i+1} - length) by linear interpolation, 0 before the delay
+                # kicks in; w stands in for W[i+1] when the delay is under one step
+                t = ts[i + 1] - life.length
+                if t <= 0.0:
+                    return 0.0
+                x = t / dt
+                j = int(x)
+                frac = x - j
+                if frac == 0.0:
+                    return float(W[j])
+                hi = w if j == i else W[j + 1]
+                return float(W[j] * (1 - frac) + frac * hi)
+        elif isinstance(life, CustomLifetime):
+            def conv_next(i: int, w: float) -> float:
+                # trapezoid of W(s) g(horizon - t_{i+1}, horizon - s) over s in [0, t_{i+1}]
+                t_next = ts[i + 1]
+                kernel = life.density(horizon - t_next, horizon - ts[:i + 2])
+                kernel = np.asarray(kernel, dtype=float)
+                if np.any(~np.isfinite(kernel)) or np.any(kernel < 0):
+                    raise NumericError(
+                        f"death-time density is not finite and nonnegative at t={t_next} "
+                        f"(non-integrable lifetime density?)"
+                    )
+                return float(np.trapezoid(np.append(W[:i + 1], w) * kernel, dx=dt))
+        else:  # pragma: no cover - exhaustive above
+            raise ValidationError(f"unsupported lifetime {life!r}")
 
-    for i in range(n):
-        f_i = b[i] * (W[i] - conv[i])
-        pred = W[i] + dt * f_i
-        # convolution at the next node, using the predictor where needed
-        f_next = b[i + 1] * (pred - conv_next(i, pred))
-        W[i + 1] = W[i] + 0.5 * dt * (f_i + f_next)
-        if not math.isfinite(W[i + 1]) or W[i + 1] <= 0.0:
-            raise NumericError(
-                f"scale solution left (0, inf) at t={ts[i + 1]:.6g} "
-                f"(W={W[i + 1]}); check the model parameters"
-            )
-        conv[i + 1] = conv_next(i, W[i + 1])
+        for i in range(n):
+            f_i = b[i] * (W[i] - conv[i])
+            pred = W[i] + dt * f_i
+            # convolution at the next node, using the predictor where needed
+            f_next = b[i + 1] * (pred - conv_next(i, pred))
+            W[i + 1] = W[i] + 0.5 * dt * (f_i + f_next)
+            if not 0.0 < W[i + 1] < math.inf:
+                break  # reported below
+            conv[i + 1] = conv_next(i, W[i + 1])
 
+    ok = (W > 0.0) & (W < math.inf)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise NumericError(
+            f"scale solution left (0, inf) at t={ts[i]:.6g} "
+            f"(W={W[i]}); check the model parameters"
+        )
     W.flags.writeable = False
     ts.flags.writeable = False
     return ScaleSolution(times=ts, values=W, horizon=float(horizon), model=model)

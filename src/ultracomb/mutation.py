@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .comb import Comb, Partition
 from .errors import NumericError, ValidationError
@@ -367,6 +366,7 @@ def clonal_laplace_exponent(tail: Callable, measure: MutationMeasure, lam: float
     """
     if lam <= 0:
         raise ValidationError("lam must be positive")
+    from scipy import integrate  # slow to import; only this function needs it
 
     def integrand(u):
         x = measure.inverse(u)

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy import special
 
 from .comb import Comb, Partition
 from .errors import ValidationError
@@ -298,8 +297,8 @@ def normalized_tail_spectrum(model_name: str, theta: float, horizon: float,
     """
     if model_name not in ("critical-bd", "brownian"):
         raise ValidationError(f"model must be 'critical-bd' or 'brownian', got {model_name!r}")
-    if theta <= 0 or horizon <= 0 or reps < 2:
-        raise ValidationError("need theta > 0, horizon > 0, reps >= 2")
+    if theta <= 0 or not 0 < horizon < math.inf or reps < 2:
+        raise ValidationError("need theta > 0, a finite horizon > 0, reps >= 2")
     qs = [float(q) for q in qs]
     counts = np.zeros((reps, len(qs)))
     weights = np.zeros(reps)
@@ -324,6 +323,7 @@ def normalized_tail_spectrum(model_name: str, theta: float, horizon: float,
         if model_name == "critical-bd":
             target = (theta / q) * (1.0 + theta) ** (-q)
         else:
-            target = theta * float(special.exp1(theta * q))
+            from scipy.special import exp1  # slow to import; only this target needs it
+            target = theta * float(exp1(theta * q))
         rows.append(TailSpectrumRow(q=q, estimate=float(est), stderr=se, target=target))
     return rows

@@ -1,10 +1,15 @@
 """End-to-end command line behaviour: artifacts, determinism, exit codes."""
 
+import importlib.util
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ultracomb
 from ultracomb import Comb, ContourFunction
 from ultracomb.cli import _shard, main
 
@@ -172,6 +177,13 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["sample", "--model", "cpp-critical-bd", "--T", "nan", "--seed", "1",
                  "--out", str(tmp_path / "c.json")]) == 2
     assert "horizon must be positive" in capsys.readouterr().err
+    assert main(["solve-w", "--T", "inf", "--out", str(tmp_path / "w.csv")]) == 2
+    assert "finite" in capsys.readouterr().err
+    for horizon in ("nan", "inf"):
+        assert main(["spectrum", "--mode", "population", "--model", "cpp-critical-bd",
+                     "--theta", "1", "--T", horizon, "--seed", "1",
+                     "--out", str(tmp_path / "p.csv")]) == 2
+        assert "finite horizon" in capsys.readouterr().err
     capsys.readouterr()
 
 
@@ -188,3 +200,16 @@ def test_shard_caps_workers_at_cpu_count():
     assert 1 <= len(shards) <= (os.cpu_count() or 1)
     assert [r for s in shards for r in s] == list(range(1_000_000))
     assert _shard(5, 0) == [range(0, 5)]
+
+
+def test_cli_snapshot_tool_writes_every_command(tmp_path):
+    # tools/cli_snapshot.py is the bit-identity check for refactors; keep it runnable
+    script = Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
+    env = {**os.environ, "PYTHONPATH": str(Path(ultracomb.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, str(script), str(tmp_path)], env=env, check=True,
+                   capture_output=True)
+    spec = importlib.util.spec_from_file_location("cli_snapshot", script)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for name in tool.COMMANDS:
+        assert (tmp_path / name).stat().st_size > 0, name

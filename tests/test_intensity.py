@@ -1,17 +1,21 @@
 """The scale-function solver, intensity models, and time changes."""
 
+import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from ultracomb import (IntensityModel, NumericError, PopulationModel,
-                       TimeChange, ValidationError, ball_partition,
+from ultracomb import (ExponentialLifetime, Immortal, IntensityModel, NumericError,
+                       PopulationModel, TimeChange, ValidationError, ball_partition,
                        cpp_intensity_from_pure_birth, CustomLifetime,
                        FixedLifetime, mutation_rate_pushforward,
                        solve_scale_function, time_change_comb, MutationMeasure)
 
 from conftest import random_comb
+from reference_intensity import reference_solve
 
 
 # ----------------------------------------------------------------------
@@ -76,6 +80,94 @@ def test_solver_validation():
         solve_scale_function(PopulationModel.yule(1.0), 1.0, 8)  # too few steps
     with pytest.raises(ValidationError):
         solve_scale_function(PopulationModel.yule(1.0), -1.0, 64)
+    for horizon in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            solve_scale_function(PopulationModel.yule(1.0), horizon, 64)
+
+
+def test_birth_rate_checks():
+    with pytest.raises(NumericError, match="finite and nonnegative"):
+        solve_scale_function(PopulationModel(math.nan, ExponentialLifetime(1.0)), 1.0, 64)
+    with pytest.raises(NumericError, match="finite and nonnegative"):
+        solve_scale_function(PopulationModel(lambda s: -1.0), 1.0, 64)
+    with pytest.raises(NumericError, match="evaluation failed"):
+        solve_scale_function(PopulationModel(lambda s: math.log(s - 5.0)), 1.0, 64)
+
+
+# ----------------------------------------------------------------------
+# the solver against the step-by-step loop (tests/reference_intensity.py)
+
+SCAN_BIRTH_RATES = [0.1, 0.6, 1.3, 1.9, 2.5, lambda s: 1.0 + 0.5 * math.sin(3.0 * s)]
+
+
+@pytest.mark.parametrize("life", [Immortal(), ExponentialLifetime(0.5),
+                                  ExponentialLifetime(1.0), ExponentialLifetime(3.0)],
+                         ids=["immortal", "exp0.5", "exp1", "exp3"])
+def test_scan_matches_loop(life):
+    # immortal and exponential lifetimes are solved by a prefix-product scan
+    for b, horizon, steps in itertools.product(SCAN_BIRTH_RATES, (0.5, 1.5, 2.5, 3.5),
+                                               (16, 17, 1000, 4000, 10_000)):
+        model = PopulationModel(b, life)
+        times, want = reference_solve(model, horizon, steps)
+        got = solve_scale_function(model, horizon, steps)
+        assert np.array_equal(got.times, times)
+        assert got.values[0] == 1.0
+        np.testing.assert_allclose(got.values, want, rtol=1e-11, atol=0.0)
+        rising = np.diff(want) >= 0
+        assert np.all(np.diff(got.values)[rising] >= 0)
+
+
+def _exponential_density(t, u):
+    u = np.asarray(u)
+    return 0.8 * np.exp(-0.8 * np.maximum(u - t, 0.0)) * (u >= t)
+
+
+@pytest.mark.parametrize("life", [FixedLifetime(0.3), FixedLifetime(1.0), FixedLifetime(5.0),
+                                  CustomLifetime(_exponential_density)],
+                         ids=["fixed0.3", "fixed1", "fixed5", "custom"])
+def test_loop_lifetimes_are_bit_identical(life):
+    for b, horizon, steps in itertools.product([0.7, 2.0, SCAN_BIRTH_RATES[-1]], (1.0, 2.5),
+                                               (16, 17, 400)):
+        model = PopulationModel(b, life)
+        assert np.array_equal(solve_scale_function(model, horizon, steps).values,
+                              reference_solve(model, horizon, steps)[1])
+
+
+def test_nonpositive_w_reported_like_the_loop():
+    model = PopulationModel(50.0, ExponentialLifetime(1000.0))
+    with pytest.raises(NumericError) as want:
+        reference_solve(model, 1.0, 16)
+    with pytest.raises(NumericError) as got:
+        solve_scale_function(model, 1.0, 16)
+    assert str(got.value) == str(want.value)
+
+
+def _reported_t(excinfo) -> float:
+    return float(re.search(r"at t=(\S+) ", str(excinfo.value)).group(1))
+
+
+def test_overflow_raises_without_warning():
+    # the loop overflows early in its intermediate b*W and warns; the scan
+    # overflows in W itself, so it may report a later grid point
+    model = PopulationModel.yule(400.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NumericError) as want:
+            reference_solve(model, 2.0, 4000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as got:
+            solve_scale_function(model, 2.0, 4000)
+    assert _reported_t(want) <= _reported_t(got) <= _reported_t(want) + 0.02 * 2.0
+    # the lifetimes that still step one point at a time report exactly as before
+    fixed = PopulationModel(400.0, FixedLifetime(5.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NumericError) as want:
+            reference_solve(fixed, 2.0, 4000)
+        with pytest.raises(NumericError) as got:
+            solve_scale_function(fixed, 2.0, 4000)
+    assert str(got.value) == str(want.value)
 
 
 # ----------------------------------------------------------------------
