@@ -54,8 +54,8 @@ class ExponentialLifetime:
     rate: float
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValidationError("exponential lifetime rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValidationError("exponential lifetime rate must be positive and finite")
 
     def sample_death(self, birth: float, gen) -> float:
         return birth + gen.exponential(1.0 / self.rate)
@@ -66,7 +66,7 @@ class FixedLifetime:
     length: float
 
     def __post_init__(self):
-        if self.length <= 0:
+        if not self.length > 0:
             raise ValidationError("fixed lifetime length must be positive")
 
     def sample_death(self, birth: float, gen) -> float:
@@ -112,8 +112,10 @@ class PopulationModel:
     lifetime: Lifetime = field(default_factory=Immortal)
 
     def __post_init__(self):
-        if isinstance(self.birth_rate, (int, float)) and self.birth_rate <= 0:
-            raise ValidationError("birth rate must be positive")
+        # a NaN constant is left to the solver's grid check, like a NaN-valued callable
+        if isinstance(self.birth_rate, (int, float)) and (self.birth_rate <= 0
+                                                          or math.isinf(self.birth_rate)):
+            raise ValidationError("birth rate must be positive and finite")
 
     def birth_rate_at(self, t):
         if callable(self.birth_rate):

@@ -201,39 +201,32 @@ def scatter_mutations(comb: Comb, measure: MutationMeasure, include_origin: bool
                       rng: RandomSource) -> MutationSet:
     """Poisson mutations on the comb skeleton.
 
-    Each branch of height H gets Poisson(cumulative(H)) atoms with
-    depths drawn by inverting the cumulative measure.  Leaving the
-    origin branch out realizes exact conditioning on a mutation-free
-    origin, by independence of the Poisson restrictions.
+    One Poisson total, with mean the summed mass of the teeth (and of the
+    origin if ``include_origin``), is placed on branches by inverting
+    their cumulative masses, never on a zero-mass branch, and at depths
+    by inverting the measure: one O(n) cumulative sum plus O(k log n)
+    for k atoms.  Leaving the origin out realizes exact conditioning on
+    a mutation-free origin, by independence of the Poisson restrictions.
     """
     gen = rng.gen
-    branch_heights = comb.heights
-    masses = np.asarray(measure.cumulative(branch_heights), dtype=float)
-    if np.any(~np.isfinite(masses)):
-        raise ValidationError("mutation measure must be finite on the tooth heights")
-    counts = gen.poisson(masses) if comb.n_teeth else np.empty(0, dtype=int)
-    total = int(counts.sum()) if comb.n_teeth else 0
-    hit = np.flatnonzero(counts)  # few branches carry atoms; no n-length index
-    branches = np.repeat(hit, counts[hit])
-    depths = np.empty(0)
-    if total:
-        u = gen.random(total)
-        depths = np.asarray(measure.inverse(u * masses[branches]), dtype=float)
-        depths = np.minimum(depths, np.nextafter(branch_heights[branches], 0.0))
-        depths = np.maximum(depths, np.nextafter(0.0, 1.0))
+    heights = comb.heights
     if include_origin:
-        origin_mass = float(measure.cumulative(comb.origin_height))
-        if not math.isfinite(origin_mass):
-            raise ValidationError("mutation mass of the origin branch is infinite; "
-                                  "drop include_origin or truncate the measure")
-        k = int(gen.poisson(origin_mass))
-        if k:
-            u = gen.random(k)
-            d = np.asarray(measure.inverse(u * origin_mass), dtype=float)
-            d = np.minimum(d, np.nextafter(comb.origin_height, 0.0))
-            d = np.maximum(d, np.nextafter(0.0, 1.0))
-            branches = np.append(branches, np.full(k, ORIGIN_BRANCH))
-            depths = np.append(depths, d)
+        heights = np.append(heights, comb.origin_height)
+    masses = np.asarray(measure.cumulative(heights), dtype=float)
+    if not np.all(np.isfinite(masses[:comb.n_teeth])):
+        raise ValidationError("mutation measure must be finite on the tooth heights")
+    if not np.all(np.isfinite(masses[comb.n_teeth:])):
+        raise ValidationError("mutation mass of the origin branch is infinite; "
+                              "drop include_origin or truncate the measure")
+    cum = np.cumsum(masses)
+    mass = cum[-1] if cum.size else 0.0
+    total = int(gen.poisson(mass))
+    branches = np.searchsorted(cum, mass * gen.random(total), side="right")
+    branches = np.minimum(branches, heights.size - 1)
+    depths = np.asarray(measure.inverse(gen.random(total) * masses[branches]), dtype=float)
+    depths = np.minimum(depths, np.nextafter(heights[branches], 0.0))
+    depths = np.maximum(depths, np.nextafter(0.0, 1.0))
+    branches[branches == comb.n_teeth] = ORIGIN_BRANCH
     return MutationSet.from_arrays(branches, depths)
 
 

@@ -47,15 +47,12 @@ class Tree:
                 )
 
     def edges(self) -> Iterator[tuple[TreeNode, TreeNode]]:
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            for child in reversed(node.children):
-                stack.append(child)
+        for node in self.nodes():
             for child in node.children:
                 yield node, child
 
     def nodes(self) -> Iterator[TreeNode]:
+        """Nodes in preorder, children in planar order."""
         stack = [self.root]
         while stack:
             node = stack.pop()
@@ -65,16 +62,7 @@ class Tree:
 
     def leaves(self) -> list[TreeNode]:
         """Leaves in planar order."""
-        out: list[TreeNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                out.append(node)
-            else:
-                for child in reversed(node.children):
-                    stack.append(child)
-        return out
+        return [node for node in self.nodes() if node.is_leaf]
 
     def leaf_labels(self) -> list[str]:
         return [leaf.label or "" for leaf in self.leaves()]
@@ -97,22 +85,15 @@ class Tree:
         raise ValidationError(f"no leaf labelled {label!r}")
 
     def mrca_depth(self, label_a: str, label_b: str) -> float:
-        pa = self._path_to(label_a)
-        pb = self._path_to(label_b)
-        depth = self.root.depth
-        for x, y in zip(pa, pb):
-            if x is not y:
-                break
-            depth = x.depth
-        return depth
+        return _last_common_depth(self._path_to(label_a), self._path_to(label_b))
 
     def distance(self, label_a: str, label_b: str) -> float:
         """Path length between two leaves, from stored depths."""
         if label_a == label_b:
             return 0.0
-        da = self._path_to(label_a)[-1].depth
-        db = self._path_to(label_b)[-1].depth
-        return (da - self.mrca_depth(label_a, label_b)) + (db - self.mrca_depth(label_a, label_b))
+        pa, pb = self._path_to(label_a), self._path_to(label_b)
+        mrca = _last_common_depth(pa, pb)
+        return (pa[-1].depth - mrca) + (pb[-1].depth - mrca)
 
     def newick(self, digits: int = 12) -> str:
         """Newick string with branch lengths, terminated by ';'."""
@@ -142,6 +123,16 @@ class Tree:
                 if k:
                     stack.append(",")
         return "".join(parts)
+
+
+def _last_common_depth(pa: list[TreeNode], pb: list[TreeNode]) -> float:
+    """Depth of the deepest node shared by two root-to-leaf paths."""
+    depth = pa[0].depth
+    for x, y in zip(pa, pb):
+        if x is not y:
+            break
+        depth = x.depth
+    return depth
 
 
 def _tree_from_separators(leaf_depths: Sequence[float], keys: Sequence[float],

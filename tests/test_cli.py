@@ -184,6 +184,15 @@ def test_exit_codes(tmp_path, capsys):
                      "--theta", "1", "--T", horizon, "--seed", "1",
                      "--out", str(tmp_path / "p.csv")]) == 2
         assert "finite horizon" in capsys.readouterr().err
+    for argv in (["--model", "bd", "--b", "1", "--death-rate", "nan"],
+                 ["--model", "bd", "--b", "1", "--death-rate", "inf"],
+                 ["--model", "yule", "--b", "inf"]):
+        assert main(["solve-w", *argv, "--T", "1", "--out", str(tmp_path / "w.csv")]) == 2, argv
+        assert "positive and finite" in capsys.readouterr().err
+    for lifetime in ("exponential(nan)", "fixed(nan)", "exponential(inf)"):
+        assert main(["sample", "--model", "splitting", "--seed", "1", "--lifetime", lifetime,
+                     "--out", str(tmp_path / "t.json")]) == 2, lifetime
+        assert "bad lifetime parameter" in capsys.readouterr().err
     capsys.readouterr()
 
 

@@ -90,6 +90,45 @@ def test_scatter_rejects_infinite_origin_mass():
     scatter_mutations(comb, unbounded, False, RandomSource(5))
 
 
+def test_scatter_never_rains_on_zero_mass_branches():
+    # no mass below depth 1: teeth of height <= 1, the last one too, carry nothing
+    late = MutationMeasure(lambda t: np.maximum(np.asarray(t, dtype=float) - 1.0, 0.0),
+                           lambda y: 1.0 + np.asarray(y, dtype=float))
+    comb = Comb(1.0, 4.0, [(0.1, 0.5), (0.3, 2.0), (0.5, 1.0), (0.7, 3.0), (0.9, 0.8)])
+    rng = RandomSource(21)
+    branches = []
+    for i in range(500):
+        ms = scatter_mutations(comb, late, i % 2 == 0, rng.spawn(i))
+        assert np.all(ms.depth > 1.0)
+        branches.extend(ms.branch.tolist())
+    assert set(branches) == {ORIGIN_BRANCH, 1, 3}
+
+
+def test_scatter_splits_atoms_by_branch_mass():
+    # masses: teeth 1, 2, 3 and origin 4, so atoms split 1:2:3:4
+    comb = Comb(1.0, 4.0, [(0.25, 1.0), (0.5, 2.0), (0.75, 3.0)])
+    rng = RandomSource(22)
+    counts = np.zeros(4)
+    for i in range(2000):
+        branch = scatter_mutations(comb, MutationMeasure.homogeneous(1.0), True,
+                                   rng.spawn(i)).branch
+        counts += np.bincount(np.where(branch == ORIGIN_BRANCH, 3, branch), minlength=4)
+    expected = counts.sum() * np.array([0.1, 0.2, 0.3, 0.4])
+    assert stats.chisquare(counts, expected).pvalue > 0.01
+
+
+def test_scatter_on_toothless_comb_rains_on_origin_only():
+    comb = Comb(1.0, 2.0, [])
+    rng = RandomSource(23)
+    sets = [scatter_mutations(comb, MutationMeasure.homogeneous(1.0), True, rng.spawn(i))
+            for i in range(200)]
+    assert sum(map(len, sets)) > 0
+    for ms in sets:
+        assert np.all(ms.branch == ORIGIN_BRANCH)
+        ms.validate_for(comb)
+    assert len(scatter_mutations(comb, MutationMeasure.homogeneous(1.0), False, rng)) == 0
+
+
 def test_mutation_set_rejects_duplicates_and_bad_atoms():
     with pytest.raises(ValidationError):
         MutationSet([(0, 0.5), (0, 0.5)])

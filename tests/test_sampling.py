@@ -32,6 +32,22 @@ def test_spawned_streams_differ():
     a = sample_kingman_comb(50, root.spawn(1))
     b = sample_kingman_comb(50, root.spawn(2))
     assert a != b
+    # distinct (seed, replicate) pairs never share a stream, across seeds too
+    for (s1, r1), (s2, r2) in [((7, 1), (6, 0)), ((0, 1), (1, 0)), ((3, 4), (7, 0))]:
+        x = sample_kingman_comb(50, RandomSource(s1).spawn(r1))
+        assert x != sample_kingman_comb(50, RandomSource(s2).spawn(r2))
+    assert sample_kingman_comb(50, root.spawn(0)) != sample_kingman_comb(50, RandomSource(9))
+    firsts = {RandomSource(s).spawn(r).gen.integers(2**63) for s in range(16) for r in range(16)}
+    assert len(firsts) == 256
+
+
+def test_spawn_only_from_a_root():
+    sub = RandomSource(9).spawn(3)
+    assert (sub.seed, sub.replicate) == (9, 3)
+    with pytest.raises(ValidationError, match="cannot spawn"):
+        sub.spawn(0)
+    with pytest.raises(ValidationError):
+        RandomSource(9).spawn(-1)
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +130,7 @@ def test_cpp_width_is_exponential():
 def test_cpp_teeth_density_finite_intensity():
     # finite intensity allows eps = 0; teeth per unit width is
     # tail(0) - tail(T) = 1 - 1/(1+T)
-    reps = 2000
+    reps = 10_000
     rng = RandomSource(17)
     teeth, width = 0, 0.0
     for i in range(reps):
