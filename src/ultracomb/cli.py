@@ -31,8 +31,8 @@ from .mutation import MutationMeasure, scatter_mutations
 from .rng import RandomSource
 from .sampling import (padic_comb, reduce_population_tree, sample_cpp,
                        sample_kingman_comb, sample_splitting_tree)
-from .spectrum import (normalized_tail_spectrum, sample_kingman_allelic_partition,
-                       spectrum_of_partition)
+from .spectrum import (_check_tail_spectrum, _tail_spectrum_replicate, _tail_spectrum_rows,
+                       sample_kingman_allelic_partition, spectrum_of_partition)
 
 CPP_MODELS = ("cpp-brownian", "cpp-critical-bd", "cpp-from-W")
 STOCHASTIC_MODELS = {"kingman", *CPP_MODELS, "splitting"}
@@ -109,17 +109,13 @@ def _shard(reps: int, jobs: int) -> list[range]:
     return [range(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
-def _run_sharded(worker, replicates: range, jobs: int, payload: tuple) -> list:
-    """Run worker(payload, replicate_range) over shards; merge in order."""
-    shards = _shard(len(replicates), jobs)
+def _run_sharded(worker, args) -> list:
+    """Run worker(args, shard) over args.jobs shards of range(args.reps); merge in order."""
+    shards = _shard(args.reps, args.jobs)
     if len(shards) <= 1:
-        return worker(payload, replicates)
-    out: list = []
+        return worker(args, range(args.reps))
     with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-        futures = [pool.submit(worker, payload, r) for r in shards]
-        for fut in futures:
-            out.extend(fut.result())
-    return out
+        return [out for part in pool.map(worker, [args] * len(shards), shards) for out in part]
 
 
 # ----------------------------------------------------------------------
@@ -143,9 +139,8 @@ def _sample_one(args, rng: RandomSource, model: IntensityModel | None) -> dict:
     raise ValidationError(f"unknown model {args.model!r}")
 
 
-def _sample_worker(payload, replicates: range) -> list[dict]:
-    args, = payload
-    root = RandomSource(args.seed if args.seed is not None else 0)
+def _sample_worker(args, replicates: range) -> list[dict]:
+    root = RandomSource(args.seed)
     # one intensity (and one scale solve for cpp-from-W) per shard
     model = _intensity_for(args) if replicates and args.model in CPP_MODELS else None
     return [_sample_one(args, root.spawn(r), model) for r in replicates]
@@ -158,7 +153,7 @@ def cmd_sample(args) -> int:
         _require_seed(args)
         if args.reps < 0:
             raise ValidationError(f"--reps must be nonnegative, got {args.reps}")
-        results = _run_sharded(_sample_worker, range(args.reps), args.jobs, (args,))
+        results = _run_sharded(_sample_worker, args)
     cfg = _config_dict(args, ["model", "T", "eps", "seed", "reps", "n_teeth",
                               "p", "depth", "b", "lifetime", "jobs"])
     _write_text(args.out, json.dumps({"config": cfg, "results": results}, sort_keys=True))
@@ -173,10 +168,9 @@ def _load_comb(path: str, index: int) -> Comb:
     if "teeth" in raw:
         return Comb.from_dict(raw)
     if "results" in raw:
-        try:
-            return Comb.from_dict(raw["results"][index])
-        except IndexError as exc:
-            raise ValidationError(f"comb index {index} out of range") from exc
+        if not 0 <= index < len(raw["results"]):
+            raise ValidationError(f"comb index {index} out of range")
+        return Comb.from_dict(raw["results"][index])
     raise ValidationError(f"{path!r} holds neither a comb nor a sample output")
 
 
@@ -196,8 +190,7 @@ def cmd_mutate(args) -> int:
 # ----------------------------------------------------------------------
 # spectrum
 
-def _spectrum_worker(payload, replicates: range) -> list[np.ndarray]:
-    args, = payload
+def _spectrum_worker(args, replicates: range) -> list[np.ndarray]:
     root = RandomSource(args.seed)
     out = []
     for r in replicates:
@@ -205,6 +198,12 @@ def _spectrum_worker(payload, replicates: range) -> list[np.ndarray]:
                                                 n_teeth=args.n_teeth)
         out.append(np.asarray(spectrum_of_partition(part).counts))
     return out
+
+
+def _population_worker(args, replicates: range) -> list[tuple[float, np.ndarray]]:
+    root, model = RandomSource(args.seed), args.model.removeprefix("cpp-")
+    return [_tail_spectrum_replicate(model, args.theta, args.T, args.eps, args.q, root.spawn(r))
+            for r in replicates]
 
 
 def cmd_spectrum(args) -> int:
@@ -217,7 +216,7 @@ def cmd_spectrum(args) -> int:
             raise ValidationError(f"sample mode needs --reps >= 1, got {args.reps}")
         if args.n_teeth is None:
             args.n_teeth = max(64, 50 * args.n)
-        spectra = _run_sharded(_spectrum_worker, range(args.reps), args.jobs, (args,))
+        spectra = _run_sharded(_spectrum_worker, args)
         totals = np.sum(spectra, axis=0)
         cfg = _config_dict(args, ["mode", "model", "theta", "n", "reps", "seed",
                                   "n_teeth", "jobs"])
@@ -226,13 +225,14 @@ def cmd_spectrum(args) -> int:
         for k, count in enumerate(totals, start=1):
             lines.append(f"{k},{int(count)}")
     else:
-        model = {"cpp-critical-bd": "critical-bd", "cpp-brownian": "brownian"}.get(args.model)
-        if model is None:
+        if args.model not in ("cpp-critical-bd", "cpp-brownian"):
             raise ValidationError("population mode needs --model cpp-critical-bd or cpp-brownian")
-        rows = normalized_tail_spectrum(model, args.theta, args.T, args.q,
-                                        args.reps, RandomSource(args.seed), eps=args.eps)
+        model = args.model.removeprefix("cpp-")
+        _check_tail_spectrum(model, args.theta, args.T, args.q, args.reps)
+        replicates = _run_sharded(_population_worker, args)
+        rows = _tail_spectrum_rows(model, args.theta, args.q, replicates)
         cfg = _config_dict(args, ["mode", "model", "theta", "T", "eps", "q",
-                                  "reps", "seed"])
+                                  "reps", "seed", "jobs"])
         lines.append("# config: " + json.dumps(cfg, sort_keys=True))
         lines.append("q,estimate,stderr,target")
         for row in rows:
@@ -248,6 +248,8 @@ def cmd_solve_w(args) -> int:
     if args.model_spec:
         spec = _load_model_spec(args.model_spec)
         model, horizon, steps = spec["model"], spec["T"], spec["steps"]
+    elif not 0 < args.b < math.inf:
+        raise ValidationError(f"--b must be positive and finite, got {args.b}")
     elif args.model == "yule":
         model, horizon, steps = PopulationModel.yule(args.b), args.T, args.steps
     elif args.model == "critical-bd":

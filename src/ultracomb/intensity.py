@@ -150,8 +150,10 @@ class IntensityModel:
 
     ``tail`` is nonincreasing and finite for positive arguments;
     ``tail_inverse(tail(x)) == x`` to relative 1e-9 on the declared
-    support.  ``support_top`` bounds where the tail is known; grid-backed
-    models cannot resolve heights beyond their horizon.
+    support.  Both accept a scalar or an array (the samplers pass
+    arrays) and act element by element.  ``support_top`` bounds where
+    the tail is known; grid-backed models cannot resolve heights beyond
+    their horizon.
     """
 
     name: str
@@ -493,5 +495,11 @@ def cpp_intensity_from_pure_birth(birth_cumulative: Callable, change: TimeChange
                 break
         return 0.5 * (lo + hi)
 
-    return IntensityModel(name="time_changed_pure_birth", tail=tail,
-                          tail_inverse=tail_inverse, support_top=float(horizon))
+    return IntensityModel(name="time_changed_pure_birth", tail=_elementwise(tail),
+                          tail_inverse=_elementwise(tail_inverse), support_top=float(horizon))
+
+
+def _elementwise(fn: Callable) -> Callable:
+    """A scalar function extended to arrays element by element."""
+    vec = np.vectorize(fn, otypes=[float])
+    return lambda x: fn(x) if np.ndim(x) == 0 else vec(x)

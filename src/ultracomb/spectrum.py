@@ -255,30 +255,57 @@ class TailSpectrumRow:
     target: float
 
 
-def _critical_bd_replicate(theta: float, horizon: float, rng: RandomSource
-                           ) -> tuple[np.ndarray, int]:
-    """Allele block sizes (individual counts) of one killed critical
-    birth-death genealogy, plus the number of individuals."""
-    model = IntensityModel.critical_bd()
+def _check_tail_spectrum(model_name: str, theta: float, horizon: float,
+                         qs: Sequence[float], reps: int) -> list[float]:
+    """Validate a tail-spectrum request before any draw; return the qs as floats."""
+    if model_name not in ("critical-bd", "brownian"):
+        raise ValidationError(f"model must be 'critical-bd' or 'brownian', got {model_name!r}")
+    if theta <= 0 or not 0 < horizon < math.inf or reps < 2:
+        raise ValidationError("need theta > 0, a finite horizon > 0, reps >= 2")
+    qs = [float(q) for q in qs]
+    for q in qs:
+        if not 0 < q < math.inf:
+            raise ValidationError(f"q must be positive and finite, got {q}")
+        if model_name == "critical-bd" and not q.is_integer():
+            raise ValidationError(f"critical-bd allele sizes are integers, so q must be; got {q}")
+    return qs
+
+
+def _tail_spectrum_replicate(model_name: str, theta: float, horizon: float, eps: float,
+                             qs: Sequence[float], rng: RandomSource) -> tuple[float, np.ndarray]:
+    """Width of one killed genealogy and, per q, its number of alleles of carrier
+    measure exactly q (critical-bd: unit individuals, so sizes) or at least q (brownian)."""
     gen = rng.gen
-    nu_top, nu_zero = model.tail(horizon), model.tail(0.0)
-    n = int(gen.geometric(nu_top / nu_zero))
-    heights = _tail_heights(model, gen, n - 1, nu_top, nu_zero, horizon)
-    comb = Comb.from_arrays(float(n), horizon, np.arange(1, n, dtype=float), heights)
+    if model_name == "critical-bd":
+        model = IntensityModel.critical_bd()
+        nu_top, nu_zero = model.tail(horizon), model.tail(0.0)
+        n = int(gen.geometric(nu_top / nu_zero))
+        heights = _tail_heights(model, gen, n - 1, nu_top, nu_zero, horizon)
+        comb = Comb.from_arrays(float(n), horizon, np.arange(1, n, dtype=float), heights)
+    else:
+        comb, _ = _killed_comb(IntensityModel.brownian(mass_scale=1.0), horizon, eps, gen)
     mutations = scatter_mutations(comb, MutationMeasure.homogeneous(theta), True, rng)
-    _, labels = assign_alleles(comb, mutations, np.arange(n) + 0.5)
-    _, sizes = np.unique([lab for lab in labels if lab is not None], return_counts=True)
-    return sizes.astype(float), n
+    masses = np.asarray(population_spectrum(comb, mutations).masses)[:, None]
+    hits = masses == np.asarray(qs) if model_name == "critical-bd" else masses >= np.asarray(qs)
+    return comb.interval_length, np.count_nonzero(hits, axis=0)
 
 
-def _brownian_replicate(theta: float, horizon: float, eps: float, rng: RandomSource
-                        ) -> tuple[np.ndarray, float]:
-    """Carrier masses of one killed Brownian-type genealogy (intensity
-    tail 1/x) plus its width."""
-    comb, _ = _killed_comb(IntensityModel.brownian(mass_scale=1.0), horizon, eps, rng.gen)
-    mutations = scatter_mutations(comb, MutationMeasure.homogeneous(theta), True, rng)
-    spec = population_spectrum(comb, mutations)
-    return np.asarray(spec.masses, dtype=float), comb.interval_length
+def _tail_spectrum_rows(model_name: str, theta: float, qs: Sequence[float],
+                        replicates: Sequence[tuple[float, np.ndarray]]) -> list[TailSpectrumRow]:
+    """Ratio estimates over ``(width, counts)`` replicates against the large-horizon limits."""
+    weights, counts = (np.array(column, dtype=float) for column in zip(*replicates))
+    rows = []
+    for j, q in enumerate(qs):
+        est = counts[:, j].sum() / weights.sum()
+        resid = counts[:, j] - est * weights
+        se = float(np.std(resid, ddof=1) / (weights.mean() * math.sqrt(len(replicates))))
+        if model_name == "critical-bd":
+            target = (theta / q) * (1.0 + theta) ** (-q)
+        else:
+            from scipy.special import exp1  # slow to import; only this target needs it
+            target = theta * float(exp1(theta * q))
+        rows.append(TailSpectrumRow(q=q, estimate=float(est), stderr=se, target=target))
+    return rows
 
 
 def normalized_tail_spectrum(model_name: str, theta: float, horizon: float,
@@ -287,43 +314,18 @@ def normalized_tail_spectrum(model_name: str, theta: float, horizon: float,
     """Per-capita allele counts of a killed genealogy against their
     large-horizon limits.
 
-    For the critical birth-death model the boundary is discrete and the
-    estimate at integer q is the per-individual number of alleles
-    carried by exactly q survivors, with limit (theta/q)(1+theta)^-q.
-    For the Brownian-type model (intensity tail 1/x) the estimate at q
-    is the per-unit-width number of alleles of carrier measure at least
-    q, with limit theta E1(theta q).  Estimates are ratios of sums over
-    replicates with a linearized standard error.
+    Each replicate reads the carrier measures of its alleles from
+    :func:`population_spectrum`.  For the critical birth-death model
+    the boundary is discrete and the estimate at integer q is the
+    per-individual number of alleles carried by exactly q survivors,
+    with limit (theta/q)(1+theta)^-q.  For the Brownian-type model
+    (intensity tail 1/x) the estimate at q is the per-unit-width number
+    of alleles of carrier measure at least q, with limit
+    theta E1(theta q).  Every q must be positive and finite, and an
+    integer for the critical birth-death model.  Estimates are ratios
+    of sums over replicates with a linearized standard error.
     """
-    if model_name not in ("critical-bd", "brownian"):
-        raise ValidationError(f"model must be 'critical-bd' or 'brownian', got {model_name!r}")
-    if theta <= 0 or not 0 < horizon < math.inf or reps < 2:
-        raise ValidationError("need theta > 0, a finite horizon > 0, reps >= 2")
-    qs = [float(q) for q in qs]
-    counts = np.zeros((reps, len(qs)))
-    weights = np.zeros(reps)
-    for r in range(reps):
-        sub = rng.spawn(r)
-        if model_name == "critical-bd":
-            sizes, n = _critical_bd_replicate(theta, horizon, sub)
-            weights[r] = n
-            for j, q in enumerate(qs):
-                counts[r, j] = np.count_nonzero(sizes == q)
-        else:
-            masses, width = _brownian_replicate(theta, horizon, eps, sub)
-            weights[r] = width
-            for j, q in enumerate(qs):
-                counts[r, j] = np.count_nonzero(masses >= q)
-    rows = []
-    wbar = weights.mean()
-    for j, q in enumerate(qs):
-        est = counts[:, j].sum() / weights.sum()
-        resid = counts[:, j] - est * weights
-        se = float(np.std(resid, ddof=1) / (wbar * math.sqrt(reps)))
-        if model_name == "critical-bd":
-            target = (theta / q) * (1.0 + theta) ** (-q)
-        else:
-            from scipy.special import exp1  # slow to import; only this target needs it
-            target = theta * float(exp1(theta * q))
-        rows.append(TailSpectrumRow(q=q, estimate=float(est), stderr=se, target=target))
-    return rows
+    qs = _check_tail_spectrum(model_name, theta, horizon, qs, reps)
+    return _tail_spectrum_rows(model_name, theta, qs, [
+        _tail_spectrum_replicate(model_name, theta, horizon, eps, qs, rng.spawn(r))
+        for r in range(reps)])

@@ -75,6 +75,14 @@ def test_spectrum_jobs_invariance(tmp_path):
     assert main(base + ["--jobs", "4", "--out", str(four)]) == 0
     strip = lambda p: [l for l in p.read_text().splitlines() if not l.startswith("#")]  # noqa: E731
     assert strip(one) == strip(four)
+    config = lambda p: json.loads(p.read_text().splitlines()[0].removeprefix("# config: "))  # noqa: E731
+    for model in ("cpp-critical-bd", "cpp-brownian"):
+        base = ["spectrum", "--mode", "population", "--model", model, "--theta", "1",
+                "--T", "20", "--q", "1", "--q", "2", "--reps", "9", "--seed", "13"]
+        assert main(base + ["--jobs", "1", "--out", str(one)]) == 0
+        assert main(base + ["--jobs", "2", "--out", str(four)]) == 0
+        assert strip(one) == strip(four)
+        assert config(one)["jobs"] == 1 and config(four)["jobs"] == 2
 
 
 def test_spectrum_population_mode(tmp_path):
@@ -189,6 +197,25 @@ def test_exit_codes(tmp_path, capsys):
                  ["--model", "yule", "--b", "inf"]):
         assert main(["solve-w", *argv, "--T", "1", "--out", str(tmp_path / "w.csv")]) == 2, argv
         assert "positive and finite" in capsys.readouterr().err
+    for argv in (["--model", "yule", "--b", "nan"],
+                 ["--model", "bd", "--b", "nan", "--death-rate", "1"]):
+        assert main(["solve-w", *argv, "--T", "1", "--out", str(tmp_path / "w.csv")]) == 2, argv
+        assert "--b must be positive and finite" in capsys.readouterr().err
+    for model, q in (("cpp-critical-bd", "0"), ("cpp-critical-bd", "nan"),
+                     ("cpp-critical-bd", "-1"), ("cpp-critical-bd", "1.5"),
+                     ("cpp-brownian", "0"), ("cpp-brownian", "nan"), ("cpp-brownian", "-1"),
+                     ("cpp-brownian", "inf")):
+        assert main(["spectrum", "--mode", "population", "--model", model, "--theta", "1",
+                     "--reps", "4", "--q", q, "--seed", "1",
+                     "--out", str(tmp_path / "p.csv")]) == 2, (model, q)
+        assert "q must be" in capsys.readouterr().err
+    combs = tmp_path / "combs.json"
+    assert main(["sample", "--model", "kingman", "--n-teeth", "10", "--reps", "2",
+                 "--seed", "1", "--out", str(combs)]) == 0
+    for index in ("-1", "-2", "2"):
+        assert main(["mutate", "--in", str(combs), "--index", index, "--theta", "1",
+                     "--seed", "1", "--out", str(tmp_path / "m.json")]) == 2, index
+        assert f"comb index {index} out of range" in capsys.readouterr().err
     for lifetime in ("exponential(nan)", "fixed(nan)", "exponential(inf)"):
         assert main(["sample", "--model", "splitting", "--seed", "1", "--lifetime", lifetime,
                      "--out", str(tmp_path / "t.json")]) == 2, lifetime

@@ -11,7 +11,8 @@ import pytest
 from ultracomb import (ExponentialLifetime, Immortal, IntensityModel, NumericError,
                        PopulationModel, TimeChange, ValidationError, ball_partition,
                        cpp_intensity_from_pure_birth, CustomLifetime,
-                       FixedLifetime, mutation_rate_pushforward,
+                       FixedLifetime, RandomSource, mutation_rate_pushforward,
+                       sample_cpp, sample_cpp_fixed_width,
                        solve_scale_function, time_change_comb, MutationMeasure)
 
 from conftest import random_comb
@@ -241,6 +242,22 @@ def test_pure_birth_intensity_tail():
     for t in (0.05, 0.2, 0.5, 1.0):
         assert model.tail(t) == pytest.approx(1.0 / t, rel=1e-12)
         assert model.tail_inverse(model.tail(t)) == pytest.approx(t, rel=1e-9)
+
+
+def test_pure_birth_intensity_is_samplable():
+    # the samplers evaluate tail and tail_inverse on arrays
+    model = cpp_intensity_from_pure_birth(lambda t: t, TimeChange.exponential_decay(1.0), 1.0)
+    ys = np.array([1.0, 1.5, 3.0, 9.0])
+    assert np.array_equal(model.tail_inverse(ys), [model.tail_inverse(float(y)) for y in ys])
+    ts = np.array([0.1, 0.5, 1.0])
+    assert np.array_equal(model.tail(ts), [model.tail(float(t)) for t in ts])
+    cpp = sample_cpp(model, 1.0, 0.1, RandomSource(5))
+    assert cpp.comb.n_teeth > 0
+    assert np.all((cpp.comb.heights > 0.1) & (cpp.comb.heights < 1.0))
+    window = sample_cpp_fixed_width(model, 1.0, 0.1, RandomSource(5))
+    assert window.n_teeth > 0
+    # tail values below tail(horizon) invert to the top of the support
+    assert np.all((window.heights > 0.1) & (window.heights <= 1.0))
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Frequency spectra: exact sampling formula, oracles, population mode."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -203,3 +205,14 @@ def test_normalized_tail_spectrum_smoke():
     assert abs(rows[0].estimate - rows[0].target) < 0.06
     with pytest.raises(ValidationError):
         normalized_tail_spectrum("kingman", 1.0, 10.0, [1.0], 10, RandomSource(49))
+
+
+@pytest.mark.parametrize("model, q", [("critical-bd", 0.0), ("critical-bd", math.nan),
+                                      ("critical-bd", -1.0), ("critical-bd", 1.5),
+                                      ("brownian", 0.0), ("brownian", math.nan),
+                                      ("brownian", -1.0), ("brownian", math.inf)])
+def test_normalized_tail_spectrum_rejects_bad_q(model, q):
+    rng = RandomSource(50)
+    with pytest.raises(ValidationError, match="q must be"):
+        normalized_tail_spectrum(model, 1.0, 10.0, [1.0, q], 4, rng)
+    assert rng.gen.random() == RandomSource(50).gen.random()  # rejected before any draw

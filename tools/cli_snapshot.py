@@ -52,6 +52,10 @@ COMMANDS = {
                                 "--model", "cpp-critical-bd", "--theta", "1",
                                 "--T", "20", "--q", "1", "--q", "2", "--reps", "20",
                                 "--seed", "9"],
+    "spectrum-population-jobs2.csv": ["spectrum", "--mode", "population",
+                                      "--model", "cpp-critical-bd", "--theta", "1",
+                                      "--T", "20", "--q", "1", "--q", "2", "--reps", "20",
+                                      "--seed", "9", "--jobs", "2"],
     "solve-w.csv": ["solve-w", "--model", "bd", "--b", "2", "--death-rate", "1",
                     "--T", "1", "--steps", "500"],
     "treecode.nwk": ["treecode", "--in", "contour.json", "--to", "newick"],
