@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .comb import Comb
 from .contour import ContourFunction, sphere_comb_from_contour, tree_from_contour
-from .errors import NumericError, ResourceError, UltracombError, ValidationError
+from .errors import NumericError, ResourceError, UltracombError, ValidationError, _malformed
 from .intensity import (IntensityModel, PopulationModel, parse_lifetime,
                         solve_scale_function)
 from .mutation import MutationMeasure, scatter_mutations
@@ -83,7 +83,7 @@ def _load_model_spec(path: str | None) -> dict:
     if not path:
         raise ValidationError("--model-spec is required for this model")
     raw = _read_json(path)
-    try:
+    with _malformed(f"model spec {path!r}"):
         birth = raw["birth_rate"]
         if isinstance(birth, dict):
             grid = np.asarray(raw["birth_rate"]["grid"], dtype=float)
@@ -94,8 +94,6 @@ def _load_model_spec(path: str | None) -> dict:
         lifetime = parse_lifetime(raw.get("lifetime", "immortal"))
         model = PopulationModel(rate, lifetime)
         return {"model": model, "T": float(raw["T"]), "steps": int(raw.get("steps", 10_000))}
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValidationError(f"malformed model spec {path!r}: {exc}") from exc
 
 
 def _require_seed(args) -> None:
@@ -228,7 +226,7 @@ def cmd_spectrum(args) -> int:
         if args.model not in ("cpp-critical-bd", "cpp-brownian"):
             raise ValidationError("population mode needs --model cpp-critical-bd or cpp-brownian")
         model = args.model.removeprefix("cpp-")
-        _check_tail_spectrum(model, args.theta, args.T, args.q, args.reps)
+        _check_tail_spectrum(model, args.theta, args.T, args.eps, args.q, args.reps)
         replicates = _run_sharded(_population_worker, args)
         rows = _tail_spectrum_rows(model, args.theta, args.q, replicates)
         cfg = _config_dict(args, ["mode", "model", "theta", "T", "eps", "q",
@@ -264,7 +262,7 @@ def cmd_solve_w(args) -> int:
     solution = solve_scale_function(model, horizon, steps)
     cfg = _config_dict(args, ["model", "b", "death_rate", "T", "steps", "model_spec"])
     lines = ["# config: " + json.dumps(cfg, sort_keys=True), "t,W,nu_tail"]
-    for t, w, nu in solution.csv_rows():
+    for t, w, nu in zip(solution.times, solution.values, 1.0 / solution.values):
         lines.append(f"{_fmt(t)},{_fmt(w)},{_fmt(nu)}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0

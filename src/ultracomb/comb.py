@@ -16,14 +16,13 @@ twice the tooth height.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _malformed
 from .tree import Tree, _tree_from_separators
 
 __all__ = [
@@ -38,7 +37,8 @@ __all__ = [
 ]
 
 _FACES = ("left", "right")
-
+# the one relative tolerance of validate_ultrametric and comb_from_ultrametric
+_ULTRAMETRIC_RTOL = 1e-9
 
 # teeth per block of the range-max index: each query scans at most two
 # blocks directly and skips whole blocks through the sparse table
@@ -212,18 +212,10 @@ class Comb:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Comb":
-        try:
+        """The comb of a :meth:`to_dict` document (ValidationError if malformed)."""
+        with _malformed("comb document"):
             teeth = [(t["pos"], t["h"]) for t in data["teeth"]]
             return cls(data["interval_length"], data["origin_height"], teeth)
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed comb document: {exc}") from exc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "Comb":
-        return cls.from_dict(json.loads(text))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Comb):
@@ -291,9 +283,6 @@ class Partition:
     @property
     def n(self) -> int:
         return sum(len(b) for b in self.blocks)
-
-    def block_sizes(self) -> list[int]:
-        return sorted((len(b) for b in self.blocks), reverse=True)
 
     def block_of(self, i: int) -> frozenset[int]:
         for block in self.blocks:
@@ -374,7 +363,7 @@ def ball_partition(comb: Comb, positions: Sequence[float], radius: float) -> Par
     return Partition(tuple(frozenset(b.tolist()) for b in blocks))
 
 
-def _checked_linkage(matrix, rtol: float) -> tuple[np.ndarray, np.ndarray | None]:
+def _checked_linkage(matrix) -> tuple[np.ndarray, np.ndarray | None]:
     """:func:`validate_ultrametric`, also returning the single-linkage
     matrix of ``min(d, d.T)`` (None for one point).
 
@@ -388,7 +377,7 @@ def _checked_linkage(matrix, rtol: float) -> tuple[np.ndarray, np.ndarray | None
     n = d.shape[0]
     if n == 0:
         raise ValidationError("distance matrix must contain at least one point")
-    if not np.allclose(d, d.T, rtol=rtol, atol=0.0):
+    if not np.allclose(d, d.T, rtol=_ULTRAMETRIC_RTOL, atol=0.0):
         raise ValidationError("distance matrix must be symmetric")
     if np.any(np.diag(d) != 0.0):
         raise ValidationError("distance matrix must have a zero diagonal")
@@ -397,7 +386,7 @@ def _checked_linkage(matrix, rtol: float) -> tuple[np.ndarray, np.ndarray | None
         raise ValidationError("off-diagonal distances must be positive (points must be distinct)")
     if not np.all(np.isfinite(off)):
         raise ValidationError("off-diagonal distances must be finite")
-    tol = rtol * float(off.max()) if off.size else 0.0
+    tol = _ULTRAMETRIC_RTOL * float(off.max()) if off.size else 0.0
     link = None
     if n > 1:
         # imported on first use, so the sampling paths do not pay for it
@@ -420,20 +409,20 @@ def _checked_linkage(matrix, rtol: float) -> tuple[np.ndarray, np.ndarray | None
     return d, link
 
 
-def validate_ultrametric(matrix: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
+def validate_ultrametric(matrix: np.ndarray) -> np.ndarray:
     """Check a matrix is a valid ultrametric on distinct points.
 
     Requires symmetry, zero diagonal, positive finite off-diagonal
     entries and the triple inequality d(i,k) <= max(d(i,j), d(j,k)) up
-    to a relative tolerance.  Returns the validated float matrix.
+    to ``1e-9 * max(d)``, as in :func:`comb_from_ultrametric`.  Returns the float matrix.
 
-    Cost is O(n^2): a matrix within ``rtol * max(d)`` of the cophenetic
+    Cost is O(n^2): a matrix within ``1e-9 * max(d)`` of the cophenetic
     distances of its single-linkage hierarchy is accepted without a
     triple scan.  Only a matrix failing that certificate is scanned
     triple by triple (O(n^3)), which decides near-misses within the
     tolerance and names the violating triple on rejection.
     """
-    return _checked_linkage(matrix, rtol)[0]
+    return _checked_linkage(matrix)[0]
 
 
 def _ball_walk(link: np.ndarray | None, n: int) -> tuple[list[int], list[float]]:
@@ -501,7 +490,7 @@ def comb_from_ultrametric(matrix, masses: Sequence[float] | None = None
     the interval; that raises a ValidationError asking for explicit
     masses.
     """
-    d, link = _checked_linkage(matrix, 1e-9)
+    d, link = _checked_linkage(matrix)
     n = d.shape[0]
     if masses is not None:
         m = np.asarray(list(masses), dtype=float)

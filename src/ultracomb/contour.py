@@ -10,14 +10,13 @@ path below that level.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .comb import Comb
-from .errors import EmptySphereError, ValidationError
+from .errors import EmptySphereError, ValidationError, _malformed
 from .tree import Tree, _tree_from_separators
 
 __all__ = ["ContourFunction", "tree_from_contour", "sphere_comb_from_contour"]
@@ -122,20 +121,12 @@ class ContourFunction:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ContourFunction":
-        try:
+        """The contour of a :meth:`to_dict` document (ValidationError if malformed)."""
+        with _malformed("contour document"):
             bps = data["breakpoints"]
             return cls(tuple(float(b["time"]) for b in bps),
                        tuple(float(b["before"]) for b in bps),
                        tuple(float(b["after"]) for b in bps))
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed contour document: {exc}") from exc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "ContourFunction":
-        return cls.from_dict(json.loads(text))
 
 
 def tree_from_contour(contour: ContourFunction) -> Tree:

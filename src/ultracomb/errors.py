@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: validation errors exit 2, numeric and
 resource errors exit 3, I/O errors (plain OSError) exit 4.
 """
 
+from contextlib import contextmanager
+
 
 class UltracombError(Exception):
     """Base class for all package-specific errors."""
@@ -23,3 +25,16 @@ class NumericError(UltracombError, ArithmeticError):
 
 class ResourceError(UltracombError, RuntimeError):
     """A retry or size budget was exhausted (e.g. rejection sampling)."""
+
+
+@contextmanager
+def _malformed(what: str):
+    """Read an input document: a missing, ill-typed or unparsable value
+    raises a ValidationError naming a malformed ``what``; a
+    ValidationError raised inside passes through unchanged."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise ValidationError(f"malformed {what}: {exc}") from exc

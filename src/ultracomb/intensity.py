@@ -134,13 +134,16 @@ class PopulationModel:
 # ----------------------------------------------------------------------
 # intensity models
 
-def _roundtrip_check(forward, backward, points, rtol, what):
+_SPOT_CHECK_RTOL = 1e-9  # relative tolerance of every validate_on spot check
+
+
+def _roundtrip_check(forward, backward, points, what):
     for x in points:
         y = forward(x)
         if not math.isfinite(y):
             continue
         back = backward(y)
-        if abs(back - x) > rtol * max(abs(x), 1e-300):
+        if abs(back - x) > _SPOT_CHECK_RTOL * max(abs(x), 1e-300):
             raise ValidationError(f"{what} round-trip failed at {x}: got {back}")
 
 
@@ -163,14 +166,15 @@ class IntensityModel:
 
     @classmethod
     def brownian(cls, mass_scale: float = 0.5) -> "IntensityModel":
-        """Tail ``mass_scale / x``, the excursion-depth intensity family.
+        """Tail ``mass_scale / x`` (mass_scale positive and finite), the
+        excursion-depth intensity family.
 
         The canonical excursion pushforward has mass_scale 1/2; the
         doubled variant (mass_scale 1) is the one whose population
         spectrum has the exponential-integral tail.
         """
-        if mass_scale <= 0:
-            raise ValidationError("mass_scale must be positive")
+        if not 0 < mass_scale < math.inf:
+            raise ValidationError(f"mass_scale must be positive and finite, got {mass_scale}")
         c = float(mass_scale)
 
         def tail(x):
@@ -215,14 +219,14 @@ class IntensityModel:
         return cls(name="from_W", tail=tail, tail_inverse=tail_inverse,
                    support_top=float(times[-1]))
 
-    def validate_on(self, points: Sequence[float], rtol: float = 1e-9) -> None:
+    def validate_on(self, points: Sequence[float]) -> None:
         """Spot-check monotonicity and the inverse round-trip."""
         pts = sorted(float(p) for p in points)
         vals = [self.tail(p) for p in pts]
         for a, b in zip(vals, vals[1:]):
-            if b > a * (1 + rtol) + rtol:
+            if b > a * (1 + _SPOT_CHECK_RTOL) + _SPOT_CHECK_RTOL:
                 raise ValidationError("intensity tail is not nonincreasing")
-        _roundtrip_check(self.tail, self.tail_inverse, pts, rtol, "intensity tail")
+        _roundtrip_check(self.tail, self.tail_inverse, pts, "intensity tail")
 
 
 # ----------------------------------------------------------------------
@@ -243,11 +247,6 @@ class ScaleSolution:
 
     def intensity_model(self) -> IntensityModel:
         return IntensityModel.from_scale_grid(self.times, self.values)
-
-    def csv_rows(self):
-        tails = 1.0 / self.values
-        for t, w, nu in zip(self.times, self.values, tails):
-            yield t, w, nu
 
 
 def _heun_scan(b: np.ndarray, dt: float, rate: float) -> np.ndarray:
@@ -378,18 +377,19 @@ class TimeChange:
 
     @classmethod
     def exponential_decay(cls, rate: float) -> "TimeChange":
-        """t -> e^{-rate t}, the decreasing bijection [0, inf) -> (0, 1]."""
-        if rate <= 0:
-            raise ValidationError("rate must be positive")
+        """t -> e^{-rate t}, the decreasing bijection [0, inf) -> (0, 1]
+        (rate positive and finite)."""
+        if not 0 < rate < math.inf:
+            raise ValidationError(f"rate must be positive and finite, got {rate}")
         return cls(forward=lambda t: np.exp(-rate * t),
                    inverse=lambda y: -np.log(y) / rate)
 
     def __call__(self, x):
         return self.forward(x)
 
-    def validate_on(self, points: Sequence[float], rtol: float = 1e-9) -> None:
-        _roundtrip_check(self.forward, self.inverse, [float(p) for p in points],
-                         rtol, "time change")
+    def validate_on(self, points: Sequence[float]) -> None:
+        """Spot-check the inverse round-trip."""
+        _roundtrip_check(self.forward, self.inverse, [float(p) for p in points], "time change")
 
 
 def _apply(fn: Callable, values: np.ndarray) -> np.ndarray:
@@ -443,8 +443,9 @@ class PushforwardMeasure:
         cb = self._cumulative(self._change.inverse(b))
         return abs(float(cb) - float(ca))
 
-    def density(self, x: float, h: float = 1e-6) -> float:
-        """Two-sided finite-difference density estimate at x."""
+    def density(self, x: float) -> float:
+        """Two-sided finite-difference density estimate at x, step 1e-6."""
+        h = 1e-6
         lo = max(x - h / 2, 0.0)
         return self.mass(lo, lo + h) / h
 

@@ -11,7 +11,6 @@ by no atom keep the root's type (clonal).
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -20,7 +19,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .comb import Comb, Partition
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, _malformed
+from .intensity import _SPOT_CHECK_RTOL
 from .rng import RandomSource
 
 __all__ = [
@@ -56,23 +56,25 @@ class MutationMeasure:
 
     @classmethod
     def homogeneous(cls, theta: float) -> "MutationMeasure":
-        """The constant molecular clock: mass theta per unit depth."""
-        if theta < 0:
-            raise ValidationError("theta must be nonnegative")
+        """The constant molecular clock: mass theta per unit depth
+        (theta finite and nonnegative)."""
+        if not 0 <= theta < math.inf:
+            raise ValidationError(f"theta must be nonnegative and finite, got {theta}")
         return cls(cumulative=lambda t: theta * np.asarray(t, dtype=float),
                    inverse=lambda y: np.asarray(y, dtype=float) / theta if theta > 0 else np.inf,
                    total_mass=math.inf if theta > 0 else 0.0)
 
-    def validate_on(self, points: Sequence[float], rtol: float = 1e-9) -> None:
+    def validate_on(self, points: Sequence[float]) -> None:
+        """Spot-check monotonicity and the inverse round-trip."""
         pts = sorted(float(p) for p in points)
         vals = [float(self.cumulative(p)) for p in pts]
-        if any(b < a - rtol for a, b in zip(vals, vals[1:])):
+        if any(b < a - _SPOT_CHECK_RTOL for a, b in zip(vals, vals[1:])):
             raise ValidationError("mutation measure must be nondecreasing")
         for p, v in zip(pts, vals):
             if v <= 0:
                 continue
             back = float(self.inverse(v))
-            if abs(back - p) > rtol * max(abs(p), 1.0):
+            if abs(back - p) > _SPOT_CHECK_RTOL * max(abs(p), 1.0):
                 raise ValidationError(f"mutation measure inverse inconsistent at {p}")
 
 
@@ -182,19 +184,11 @@ class MutationSet:
 
     @classmethod
     def from_list(cls, data: Sequence[dict]) -> "MutationSet":
-        try:
+        """The set of a :meth:`to_list` document (ValidationError if malformed)."""
+        with _malformed("mutation document"):
             atoms = [(ORIGIN_BRANCH if item["branch"] == "origin" else int(item["branch"]),
                       float(item["depth"])) for item in data]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed mutation document: {exc}") from exc
         return cls(atoms)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_list())
-
-    @classmethod
-    def from_json(cls, text: str) -> "MutationSet":
-        return cls.from_list(json.loads(text))
 
 
 def scatter_mutations(comb: Comb, measure: MutationMeasure, include_origin: bool,
@@ -356,9 +350,10 @@ def clonal_laplace_exponent(tail: Callable, measure: MutationMeasure, lam: float
     with M the cumulative mutation measure.  Substituting u = M(x) turns
     the integral into exp(-u) / (lam + tail(inverse(u))) du over
     (0, total mass), evaluated by adaptive quadrature to relative 1e-8.
+    ``lam`` must be positive and finite.
     """
-    if lam <= 0:
-        raise ValidationError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ValidationError(f"lam must be positive and finite, got {lam}")
     from scipy import integrate  # slow to import; only this function needs it
 
     def integrand(u):

@@ -51,8 +51,6 @@ class CppSample:
             raise ValidationError("width must equal the comb interval length")
         if not self.killing_height > self.comb.origin_height:
             raise ValidationError("killing height must exceed the comb height")
-        if self.comb.n_teeth and not np.all(self.comb.heights < self.comb.origin_height):
-            raise ValidationError("all teeth must lie below the comb height")
 
 
 def _distinct_uniforms(gen, n: int, width: float) -> np.ndarray:
@@ -96,22 +94,19 @@ def sample_kingman_comb(n_teeth: int, rng: RandomSource) -> Comb:
 
 
 def _tail_heights(model: IntensityModel, gen, count: int, nu_lo: float,
-                  nu_hi: float, cap: float | None) -> np.ndarray:
+                  nu_hi: float, cap: float) -> np.ndarray:
     """``count`` i.i.d. heights whose tail values are uniform on
-    (nu_lo, nu_hi], by inverse-tail sampling; heights stay below ``cap``
-    when one is given."""
+    (nu_lo, nu_hi], by inverse-tail sampling; heights stay below ``cap``,
+    the height whose tail is ``nu_lo`` (inf when ``nu_lo`` is 0)."""
     u = gen.random(count)
     heights = np.asarray(model.tail_inverse(nu_lo + (1.0 - u) * (nu_hi - nu_lo)), dtype=float)
-    if cap is None:
-        return heights
     # float guard: inverse evaluation may land exactly on the cap
     return np.minimum(heights, np.nextafter(cap, 0.0))
 
 
-def _killed_comb(model: IntensityModel, horizon: float, eps: float, gen
-                 ) -> tuple[Comb, float]:
-    """The comb of :func:`sample_cpp` before its killing atom, and the
-    intensity tail at the horizon.  Draws width, count, heights, positions."""
+def _killed_tails(model: IntensityModel, horizon: float, eps: float) -> tuple[float, float]:
+    """Check a killed-comb request without drawing; return the intensity
+    tail at the horizon and at eps."""
     if not horizon > 0:
         raise ValidationError("horizon must be positive")
     if not 0 <= eps < horizon:
@@ -123,6 +118,15 @@ def _killed_comb(model: IntensityModel, horizon: float, eps: float, gen
                               f"got {nu_eps} (raise eps)")
     if not (math.isfinite(nu_top) and nu_top > 0):
         raise ValidationError(f"intensity tail at the horizon must be positive and finite, got {nu_top}")
+    return nu_top, nu_eps
+
+
+def _killed_comb(model: IntensityModel, horizon: float, eps: float, gen
+                 ) -> tuple[Comb, float]:
+    """The comb of :func:`sample_cpp` before its killing atom, and the
+    intensity tail at the horizon.  Checks through :func:`_killed_tails`,
+    then draws width, count, heights, positions."""
+    nu_top, nu_eps = _killed_tails(model, horizon, eps)
     width = gen.exponential(1.0 / nu_top)
     count = int(gen.poisson(width * (nu_eps - nu_top)))
     heights = _tail_heights(model, gen, count, nu_top, nu_eps, horizon)
@@ -160,20 +164,23 @@ def sample_cpp_fixed_width(model: IntensityModel, width: float, eps: float,
     By independence of the underlying point process, conditioning the
     killed width to exceed ``width`` leaves the teeth on [0, width]
     unconditioned, so this is the window every almost-sure statement
-    about unbounded-height processes gets checked on.  Heights above
-    ``eps`` are unbounded, and the origin is set one unit above the
-    tallest tooth (at 1.0 for an empty window).
+    about unbounded-height processes gets checked on.  Tail values are
+    drawn in (tail(support_top), tail(eps)], 0 standing for the tail of
+    an unbounded support, and heights stay below ``support_top``.  The
+    origin is one unit above the tallest tooth (1.0 for an empty window).
     """
-    if width <= 0:
-        raise ValidationError("width must be positive")
-    if eps < 0:
-        raise ValidationError("need 0 <= eps")
+    if not 0 < width < math.inf:
+        raise ValidationError(f"width must be positive and finite, got {width}")
+    top = model.support_top
+    if not 0 <= eps < top:
+        raise ValidationError("need 0 <= eps < support_top")
     nu_eps = float(model.tail(eps))
     if not math.isfinite(nu_eps):
         raise ValidationError(f"intensity tail at eps={eps} must be finite (raise eps)")
+    nu_top = float(model.tail(top)) if math.isfinite(top) else 0.0
     gen = rng.gen
-    count = int(gen.poisson(width * nu_eps))
-    heights = _tail_heights(model, gen, count, 0.0, nu_eps, None)
+    count = int(gen.poisson(width * (nu_eps - nu_top)))
+    heights = _tail_heights(model, gen, count, nu_top, nu_eps, top)
     positions = _distinct_uniforms(gen, count, width)
     origin = float(heights.max()) + 1.0 if count else 1.0
     return Comb.from_arrays(width, origin, positions, heights)

@@ -16,7 +16,7 @@ from .intensity import IntensityModel
 from .mutation import (MutationMeasure, MutationSet, _clade_forest, assign_alleles,
                        scatter_mutations)
 from .rng import RandomSource
-from .sampling import _killed_comb, _tail_heights, sample_kingman_comb
+from .sampling import _killed_comb, _killed_tails, _tail_heights, sample_kingman_comb
 
 __all__ = [
     "FrequencySpectrum",
@@ -87,10 +87,11 @@ def esf_probability(theta: float, counts: Sequence[int]) -> float:
     infinitely-many-alleles sampling formula.
 
     ``counts[k-1]`` is the number of alleles carried by exactly k of the
-    n sampled individuals; the counts must satisfy sum k a_k = n.
+    n sampled individuals; the counts must satisfy sum k a_k = n, and
+    theta must be positive and finite.
     """
-    if theta <= 0:
-        raise ValidationError("theta must be positive")
+    if not 0 < theta < math.inf:
+        raise ValidationError(f"theta must be positive and finite, got {theta}")
     a = [int(c) for c in counts]
     if any(c < 0 for c in a):
         raise ValidationError("counts must be nonnegative")
@@ -148,9 +149,10 @@ def sample_esf_spectra(theta: float, n: int, reps: int, rng: RandomSource) -> np
     theta / (theta + i), otherwise copies a uniformly chosen predecessor.
 
     Returns an int32 array of shape (reps, n); row r holds A(1)..A(n).
+    theta must be positive and finite.
     """
-    if theta <= 0 or n < 1 or reps < 1:
-        raise ValidationError("need theta > 0, n >= 1, reps >= 1")
+    if not 0 < theta < math.inf or n < 1 or reps < 1:
+        raise ValidationError("need a finite theta > 0, n >= 1, reps >= 1")
     gen = rng.gen
     idx = np.arange(n, dtype=float)
     new_allele = gen.random((reps, n)) < theta / (theta + idx)
@@ -177,7 +179,7 @@ def sample_esf_spectra(theta: float, n: int, reps: int, rng: RandomSource) -> np
 
 
 def sample_kingman_allelic_partition(n: int, theta: float, rng: RandomSource,
-                                     n_teeth: int | None = None) -> Partition:
+                                     n_teeth: int) -> Partition:
     """One replicate of the full pipeline: an exchangeable-coalescent
     comb, a homogeneous mutation rain (origin branch included), and the
     allelic partition of n uniform sample positions.
@@ -188,13 +190,11 @@ def sample_kingman_allelic_partition(n: int, theta: float, rng: RandomSource,
     so that convention corresponds to mutation density theta/2 per unit
     depth (one unit of pairwise distance spans two units of depth).
 
-    The comb is truncated to ``n_teeth`` teeth (default 50 n), which
-    bounds the unresolved depth by roughly 2/n_teeth.
+    The comb is truncated to ``n_teeth`` teeth, which bounds the
+    unresolved depth by roughly 2/n_teeth.
     """
     if n < 1:
         raise ValidationError("n must be at least 1")
-    if n_teeth is None:
-        n_teeth = max(64, 50 * n)
     comb = sample_kingman_comb(n_teeth, rng)
     mutations = scatter_mutations(comb, MutationMeasure.homogeneous(theta / 2.0),
                                   include_origin=True, rng=rng)
@@ -235,10 +235,11 @@ def gem_ranked_oracle(theta: float, depth: int, reps: int, rng: RandomSource) ->
     Beta(1, theta) pieces, sorted decreasing per replicate.
 
     This is the limit law of the ranked largest allele blocks of the
-    exchangeable coalescent, used as the simulation oracle.
+    exchangeable coalescent, used as the simulation oracle.  theta must
+    be positive and finite.
     """
-    if theta <= 0 or depth < 1 or reps < 1:
-        raise ValidationError("need theta > 0, depth >= 1, reps >= 1")
+    if not 0 < theta < math.inf or depth < 1 or reps < 1:
+        raise ValidationError("need a finite theta > 0, depth >= 1, reps >= 1")
     z = rng.gen.beta(1.0, theta, size=(reps, depth))
     pieces = np.empty_like(z)
     pieces[:, 0] = z[:, 0]
@@ -255,13 +256,16 @@ class TailSpectrumRow:
     target: float
 
 
-def _check_tail_spectrum(model_name: str, theta: float, horizon: float,
+def _check_tail_spectrum(model_name: str, theta: float, horizon: float, eps: float,
                          qs: Sequence[float], reps: int) -> list[float]:
-    """Validate a tail-spectrum request before any draw; return the qs as floats."""
+    """Validate a tail-spectrum request before any draw; return the qs as floats.
+    The Brownian-type model also gets its killed comb's checks on eps."""
     if model_name not in ("critical-bd", "brownian"):
         raise ValidationError(f"model must be 'critical-bd' or 'brownian', got {model_name!r}")
-    if theta <= 0 or not 0 < horizon < math.inf or reps < 2:
-        raise ValidationError("need theta > 0, a finite horizon > 0, reps >= 2")
+    if not 0 < theta < math.inf or not 0 < horizon < math.inf or reps < 2:
+        raise ValidationError("need a finite theta > 0, a finite horizon > 0, reps >= 2")
+    if model_name == "brownian":
+        _killed_tails(IntensityModel.brownian(mass_scale=1.0), horizon, eps)
     qs = [float(q) for q in qs]
     for q in qs:
         if not 0 < q < math.inf:
@@ -322,10 +326,12 @@ def normalized_tail_spectrum(model_name: str, theta: float, horizon: float,
     (intensity tail 1/x) the estimate at q is the per-unit-width number
     of alleles of carrier measure at least q, with limit
     theta E1(theta q).  Every q must be positive and finite, and an
-    integer for the critical birth-death model.  Estimates are ratios
-    of sums over replicates with a linearized standard error.
+    integer for the critical birth-death model; theta and the horizon
+    must be positive and finite, and the Brownian-type model needs
+    0 < eps < horizon, all checked before any draw.  Estimates are
+    ratios of sums over replicates with a linearized standard error.
     """
-    qs = _check_tail_spectrum(model_name, theta, horizon, qs, reps)
+    qs = _check_tail_spectrum(model_name, theta, horizon, eps, qs, reps)
     return _tail_spectrum_rows(model_name, theta, qs, [
         _tail_spectrum_replicate(model_name, theta, horizon, eps, qs, rng.spawn(r))
         for r in range(reps)])

@@ -1,7 +1,9 @@
 """The exported surface: every name in a module's ``__all__`` resolves,
-and importing the package stays light."""
+importing the package stays light, and scalar parameters reject NaN and
+infinite values."""
 
 import importlib
+import math
 import os
 import pkgutil
 import subprocess
@@ -32,3 +34,24 @@ def test_import_defers_slow_scipy_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+NONFINITE_PARAMETERS = {
+    "MutationMeasure.homogeneous": lambda x: ultracomb.MutationMeasure.homogeneous(x),
+    "IntensityModel.brownian": lambda x: ultracomb.IntensityModel.brownian(x),
+    "TimeChange.exponential_decay": lambda x: ultracomb.TimeChange.exponential_decay(x),
+    "sample_cpp_fixed_width": lambda x: ultracomb.sample_cpp_fixed_width(
+        ultracomb.IntensityModel.critical_bd(), x, 0.1, ultracomb.RandomSource(1)),
+    "esf_probability": lambda x: ultracomb.esf_probability(x, [1]),
+    "sample_esf_spectra": lambda x: ultracomb.sample_esf_spectra(x, 3, 2, ultracomb.RandomSource(1)),
+    "gem_ranked_oracle": lambda x: ultracomb.gem_ranked_oracle(x, 3, 2, ultracomb.RandomSource(1)),
+    "clonal_laplace_exponent": lambda x: ultracomb.clonal_laplace_exponent(
+        ultracomb.IntensityModel.critical_bd().tail, ultracomb.MutationMeasure.homogeneous(1.0), x),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("entry", sorted(NONFINITE_PARAMETERS))
+def test_scalar_parameters_must_be_finite_and_in_range(entry, value):
+    with pytest.raises(ultracomb.ValidationError):
+        NONFINITE_PARAMETERS[entry](value)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ultracomb
-from ultracomb import Comb, ContourFunction
+from ultracomb import Comb, ContourFunction, cli
 from ultracomb.cli import _shard, main
 
 
@@ -110,7 +110,7 @@ def test_mutate_pipeline(tmp_path):
 
 def test_treecode_newick_and_comb(tmp_path):
     contour = tmp_path / "contour.json"
-    contour.write_text(ContourFunction.from_jumps([(0.0, 3.0), (1.0, 2.0)]).to_json())
+    contour.write_text(json.dumps(ContourFunction.from_jumps([(0.0, 3.0), (1.0, 2.0)]).to_dict()))
     nwk = tmp_path / "t.nwk"
     assert main(["treecode", "--in", str(contour), "--to", "newick",
                  "--out", str(nwk)]) == 0
@@ -220,7 +220,42 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["sample", "--model", "splitting", "--seed", "1", "--lifetime", lifetime,
                      "--out", str(tmp_path / "t.json")]) == 2, lifetime
         assert "bad lifetime parameter" in capsys.readouterr().err
+    spec = {"birth_rate": 1.0, "lifetime": "immortal", "T": 1.0, "steps": 100}
+    comb_doc = {"interval_length": 1.0, "origin_height": 2.0, "teeth": [{"pos": "x", "h": 1.0}]}
+    contour_doc = {"breakpoints": [{"time": "x", "before": 0.0, "after": 1.0}]}
+    for name, doc, argv, what in (
+            ("T", {**spec, "T": "abc"}, ["sample", "--model", "cpp-from-W", "--seed", "1"],
+             "model spec"),
+            ("lifetime", {**spec, "lifetime": 5}, ["sample", "--model", "cpp-from-W", "--seed", "1"],
+             "model spec"),
+            ("grid", {**spec, "birth_rate": {"grid": [[0.0, 1.0], [1.0]]}}, ["solve-w"],
+             "model spec"),
+            ("comb", comb_doc, ["mutate", "--theta", "1", "--seed", "1"], "comb document"),
+            ("contour", contour_doc, ["treecode", "--to", "newick"], "contour document")):
+        path = tmp_path / f"bad-{name}.json"
+        path.write_text(json.dumps(doc))
+        flag = "--model-spec" if what == "model spec" else "--in"
+        assert main([*argv, flag, str(path), "--out", str(tmp_path / "o.txt")]) == 2, name
+        assert f"malformed {what}" in capsys.readouterr().err, name
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["--model", "cpp-brownian", "--theta", "1", "--eps", "0"],
+                                  ["--model", "cpp-brownian", "--theta", "1", "--eps", "nan"],
+                                  ["--model", "cpp-brownian", "--theta", "nan"],
+                                  ["--model", "cpp-critical-bd", "--theta", "nan"],
+                                  ["--model", "cpp-critical-bd", "--theta", "inf"]])
+def test_population_mode_checks_before_starting_workers(tmp_path, capsys, monkeypatch, argv):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)  # so --jobs 2 would start a pool
+    assert main(["spectrum", "--mode", "population", *argv, "--jobs", "2", "--reps", "4",
+                 "--seed", "1", "--out", str(tmp_path / "pop.csv")]) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not (tmp_path / "pop.csv").exists()
 
 
 @pytest.mark.parametrize("eps", [["--eps", "0"], ["--eps", "-1"], ["--eps", "6", "--T", "5"]])

@@ -1,6 +1,7 @@
 """Contour codings: decoded trees and level-sphere combs."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def test_contour_flat_zero_stretch():
 
 def test_contour_json_round_trip():
     h = ContourFunction.from_jumps([(0.0, 3.0), (1.0, 2.0), (2.5, 0.25)])
-    assert ContourFunction.from_json(h.to_json()) == h
+    assert ContourFunction.from_dict(json.loads(json.dumps(h.to_dict()))) == h
 
 
 def test_single_jump_tree():

@@ -256,8 +256,19 @@ def test_pure_birth_intensity_is_samplable():
     assert np.all((cpp.comb.heights > 0.1) & (cpp.comb.heights < 1.0))
     window = sample_cpp_fixed_width(model, 1.0, 0.1, RandomSource(5))
     assert window.n_teeth > 0
-    # tail values below tail(horizon) invert to the top of the support
-    assert np.all((window.heights > 0.1) & (window.heights <= 1.0))
+    assert np.all((window.heights > 0.1) & (window.heights < 1.0))
+
+
+def test_fixed_width_window_on_a_finite_support():
+    # tail 1/t on (0, 1]: a window of width 50 above eps = 0.1 holds
+    # Poisson(50 (tail(0.1) - tail(1))) = Poisson(450) teeth, all below 1
+    model = cpp_intensity_from_pure_birth(lambda t: t, TimeChange.exponential_decay(1.0), 1.0)
+    counts = []
+    for seed in range(200):
+        window = sample_cpp_fixed_width(model, 50.0, 0.1, RandomSource(seed))
+        assert np.all((window.heights >= 0.1) & (window.heights < model.support_top)), seed
+        counts.append(window.n_teeth)
+    assert abs(np.mean(counts) - 450.0) < 4.0 * math.sqrt(450.0 / 200)
 
 
 # ----------------------------------------------------------------------

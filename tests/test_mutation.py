@@ -1,6 +1,7 @@
 """Mutation scattering, clades, allelic assignment, clonal sets."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -141,7 +142,7 @@ def test_mutation_set_rejects_duplicates_and_bad_atoms():
 
 def test_mutation_json_round_trip():
     ms = MutationSet([(ORIGIN_BRANCH, 3.5), (0, 1.25), (2, 0.5)])
-    assert MutationSet.from_json(ms.to_json()) == ms
+    assert MutationSet.from_list(json.loads(json.dumps(ms.to_list()))) == ms
     assert ms.to_list()[0]["branch"] == "origin"
 
 

@@ -216,3 +216,20 @@ def test_normalized_tail_spectrum_rejects_bad_q(model, q):
     with pytest.raises(ValidationError, match="q must be"):
         normalized_tail_spectrum(model, 1.0, 10.0, [1.0, q], 4, rng)
     assert rng.gen.random() == RandomSource(50).gen.random()  # rejected before any draw
+
+
+@pytest.mark.parametrize("model, theta, eps", [("critical-bd", math.nan, 1e-3),
+                                               ("critical-bd", math.inf, 1e-3),
+                                               ("brownian", math.nan, 1e-3),
+                                               ("brownian", 1.0, 0.0),
+                                               ("brownian", 1.0, -1.0),
+                                               ("brownian", 1.0, math.nan),
+                                               ("brownian", 1.0, 10.0)])
+def test_normalized_tail_spectrum_checks_theta_and_eps_before_any_draw(monkeypatch, model,
+                                                                       theta, eps):
+    def no_replicate(*args):
+        raise AssertionError("a replicate was drawn")
+
+    monkeypatch.setattr("ultracomb.spectrum._tail_spectrum_replicate", no_replicate)
+    with pytest.raises(ValidationError):
+        normalized_tail_spectrum(model, theta, 10.0, [1.0], 4, RandomSource(50), eps=eps)

@@ -21,6 +21,8 @@ import sys
 from ultracomb.cli import main
 
 MODEL_SPEC = {"birth_rate": 2.0, "lifetime": "exponential(1)", "T": 1.5, "steps": 400}
+# a fixed lifetime takes the solver's step-by-step loop, not the scan
+FIXED_SPEC = {"birth_rate": 2.0, "lifetime": "fixed(0.7)", "T": 1.5, "steps": 400}
 CONTOUR = {"breakpoints": [
     {"time": 0.0, "before": 0.0, "after": 3.0},
     {"time": 1.25, "before": 1.75, "after": 4.5},
@@ -58,6 +60,7 @@ COMMANDS = {
                                       "--seed", "9", "--jobs", "2"],
     "solve-w.csv": ["solve-w", "--model", "bd", "--b", "2", "--death-rate", "1",
                     "--T", "1", "--steps", "500"],
+    "solve-w-spec.csv": ["solve-w", "--model-spec", "model-fixed.json"],
     "treecode.nwk": ["treecode", "--in", "contour.json", "--to", "newick"],
     "treecode-comb.json": ["treecode", "--in", "contour.json", "--to", "comb", "--T", "2.5"],
 }
@@ -70,7 +73,8 @@ def snapshot(outdir: str) -> int:
     os.chdir(outdir)
     failed = 0
     try:
-        for name, doc in (("model.json", MODEL_SPEC), ("contour.json", CONTOUR)):
+        for name, doc in (("model.json", MODEL_SPEC), ("model-fixed.json", FIXED_SPEC),
+                          ("contour.json", CONTOUR)):
             with open(name, "w") as fh:
                 json.dump(doc, fh, sort_keys=True)
         for name, argv in COMMANDS.items():
