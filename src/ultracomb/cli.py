@@ -7,7 +7,8 @@ a run can be reproduced from its own header.  Replicates are sharded
 across ``--jobs`` workers with per-replicate streams derived from the
 seed, so results do not depend on the job count.
 
-Exit codes: 0 ok, 2 validation, 3 numeric/resource, 4 I/O.
+Exit codes: 0 ok, 2 validation, 3 numeric/resource (memory exhaustion
+included), 4 I/O.
 """
 
 from __future__ import annotations
@@ -261,6 +262,9 @@ def cmd_solve_w(args) -> int:
         raise ValidationError(f"unknown model {args.model!r}")
     solution = solve_scale_function(model, horizon, steps)
     cfg = _config_dict(args, ["model", "b", "death_rate", "T", "steps", "model_spec"])
+    cfg.update(T=horizon, steps=steps)
+    if args.model_spec:  # the spec replaces the flag-only model parameters
+        cfg.update(model=None, b=None, death_rate=None)
     lines = ["# config: " + json.dumps(cfg, sort_keys=True), "t,W,nu_tail"]
     for t, w, nu in zip(solution.times, solution.values, 1.0 / solution.values):
         lines.append(f"{_fmt(t)},{_fmt(w)},{_fmt(nu)}")
@@ -366,6 +370,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (NumericError, ResourceError) as exc:
         print(f"ultracomb: numeric error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"ultracomb: resource error: out of memory ({str(exc) or 'allocation refused'})",
+              file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"ultracomb: i/o error: {exc}", file=sys.stderr)

@@ -176,13 +176,6 @@ class Comb:
     def teeth(self) -> list[tuple[float, float]]:
         return list(zip(self.positions.tolist(), self.heights.tolist()))
 
-    def height_at(self, position: float) -> float:
-        """Tooth height at an exact position, 0.0 if no tooth there."""
-        i = int(np.searchsorted(self.positions, position))
-        if i < self.n_teeth and self.positions[i] == position:
-            return float(self.heights[i])
-        return 0.0
-
     def max_height_between(self, lo: int, hi: int) -> float:
         """Max tooth height over index slice [lo, hi), clipped to the
         teeth; 0.0 if empty."""
@@ -311,29 +304,21 @@ def _as_point(p) -> BoundaryPoint:
 
 def comb_distance(comb: Comb, p, q) -> float:
     """Comb metric between two boundary points: twice the tallest tooth
-    between them, with face rules deciding whether endpoint teeth count.
+    between them.
 
-    ``p`` and ``q`` may be plain floats, which are read as right faces
-    (for points away from teeth the faces coincide).
+    ``p`` and ``q`` may be plain floats, read as right faces.  Ordered
+    by (position, face), left face first, each bound is one
+    ``searchsorted`` on the side its face names: a point's own tooth
+    counts from the lower point's left face or the upper's right face.
     """
-    p = _as_point(p)
-    q = _as_point(q)
+    p, q = _as_point(p), _as_point(q)
     a = comb.interval_length
     for pt in (p, q):
         if not 0.0 <= pt.position <= a:
             raise ValidationError(f"position {pt.position} outside [0, {a}]")
-    if p.position == q.position:
-        if p.face == q.face:
-            return 0.0
-        return 2.0 * comb.height_at(p.position)
-    if p.position > q.position:
-        p, q = q, p
-    # teeth in the interval between p and q; a point's own tooth counts
-    # only when approached from its left face (for p) / right face (for q)
-    side_lo = "left" if p.face == "left" else "right"
-    side_hi = "right" if q.face == "right" else "left"
-    lo = int(np.searchsorted(comb.positions, p.position, side=side_lo))
-    hi = int(np.searchsorted(comb.positions, q.position, side=side_hi))
+    p, q = sorted((p, q), key=lambda pt: (pt.position, pt.face))
+    lo = int(np.searchsorted(comb.positions, p.position, side=p.face))
+    hi = int(np.searchsorted(comb.positions, q.position, side=q.face))
     return 2.0 * comb.max_height_between(lo, hi)
 
 

@@ -11,6 +11,7 @@ path below that level.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,28 +87,22 @@ class ContourFunction:
         return self.times[-1] + self.after[-1]
 
     def value(self, t: float) -> float:
-        """Path value h(t) (cadlag)."""
-        if t < self.times[0]:
-            return 0.0
-        i = int(np.searchsorted(np.asarray(self.times), t, side="right")) - 1
-        return max(self.after[i] - (t - self.times[i]), 0.0)
+        """Path value h(t) (cadlag): one bisection of ``times``, O(log k)."""
+        i = bisect_right(self.times, t) - 1
+        return 0.0 if i < 0 else max(self.after[i] - (t - self.times[i]), 0.0)
 
     def infimum(self, s: float, t: float) -> float:
         """inf of the path over [min(s,t), max(s,t)].
 
         Within a segment the path is nonincreasing (slope -1, then flat
         at 0), so the inf is the smaller of the endpoint value and the
-        pre-jump troughs inside the window.
+        pre-jump troughs at the jump times in (s, t]: two bisections of
+        ``times``, O(log k) plus the troughs read.
         """
         if s > t:
             s, t = t, s
-        low = self.value(t)
-        for i, ti in enumerate(self.times):
-            if s < ti <= t:
-                low = min(low, self.before[i])
-            if ti > t:
-                break
-        return low
+        troughs = self.before[bisect_right(self.times, s):bisect_right(self.times, t)]
+        return min((self.value(t), *troughs))
 
     def tree_distance(self, s: float, t: float) -> float:
         """h(s) + h(t) - 2 inf over [s, t]: the coded-tree pseudo-distance."""

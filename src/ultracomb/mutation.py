@@ -314,16 +314,16 @@ class ClonalSet:
         return sum(e - s for s, e in self.intervals)
 
     def contains(self, x: float) -> bool:
-        starts = [s for s, _ in self.intervals]
-        i = bisect_right(starts, x) - 1
+        # (x, inf) sorts after every stored interval that starts at or
+        # before x: one bisection, O(log k)
+        i = bisect_right(self.intervals, (x, math.inf)) - 1
         return i >= 0 and x < self.intervals[i][1]
 
     def covers(self, a: float, b: float) -> bool:
         """True if [a, b) sits inside a single stored interval."""
         if b <= a:
             return True
-        starts = [s for s, _ in self.intervals]
-        i = bisect_right(starts, a) - 1
+        i = bisect_right(self.intervals, (a, math.inf)) - 1
         return i >= 0 and self.intervals[i][1] >= b
 
 

@@ -106,9 +106,13 @@ def _tail_heights(model: IntensityModel, gen, count: int, nu_lo: float,
 
 def _killed_tails(model: IntensityModel, horizon: float, eps: float) -> tuple[float, float]:
     """Check a killed-comb request without drawing; return the intensity
-    tail at the horizon and at eps."""
+    tail at the horizon and at eps.  The horizon may reach the model's
+    ``support_top`` but not pass it: past it the tail is unknown."""
     if not horizon > 0:
         raise ValidationError("horizon must be positive")
+    if horizon > model.support_top:
+        raise ValidationError(f"horizon {horizon} exceeds the intensity's support top "
+                              f"{model.support_top}")
     if not 0 <= eps < horizon:
         raise ValidationError("need 0 <= eps < horizon")
     nu_top = float(model.tail(horizon))

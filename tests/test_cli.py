@@ -132,6 +132,38 @@ def test_solve_w_model_spec_file(tmp_path):
     assert abs(w_final - 2.0) < 1e-5
 
 
+def test_solve_w_config_records_the_spec(tmp_path):
+    spec = tmp_path / "model.json"
+    spec.write_text(json.dumps({"birth_rate": 2.0, "lifetime": "exponential(1)",
+                                "T": 1.5, "steps": 400}))
+    out = tmp_path / "w.csv"
+    assert main(["solve-w", "--model-spec", str(spec), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    cfg = json.loads(lines[0].removeprefix("# config: "))
+    assert (cfg["T"], cfg["steps"], cfg["model_spec"]) == (1.5, 400, str(spec))
+    assert cfg["model"] is cfg["b"] is cfg["death_rate"] is None
+    assert len(lines) == 2 + 401
+    # without a spec the flags are the run
+    assert main(["solve-w", "--model", "bd", "--b", "2", "--death-rate", "1", "--T", "0.5",
+                 "--steps", "50", "--out", str(out)]) == 0
+    cfg = json.loads(out.read_text().splitlines()[0].removeprefix("# config: "))
+    assert {k: cfg[k] for k in ("model", "b", "death_rate", "T", "steps", "model_spec")} == {
+        "model": "bd", "b": 2.0, "death_rate": 1.0, "T": 0.5, "steps": 50, "model_spec": None}
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("sample_kingman_comb", ["sample", "--model", "kingman", "--seed", "1"]),
+    ("solve_scale_function", ["solve-w"])])
+def test_memory_exhaustion_exits_3_without_traceback(tmp_path, capsys, monkeypatch, name, argv):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli, name, refuse)
+    assert main([*argv, "--out", str(tmp_path / "o.txt")]) == 3
+    err = capsys.readouterr().err
+    assert err == "ultracomb: resource error: out of memory (Unable to allocate 7.28 TiB)\n"
+
+
 def test_sample_cpp_from_solved_model(tmp_path):
     spec = tmp_path / "model.json"
     spec.write_text(json.dumps({"birth_rate": 1.0, "lifetime": "immortal",
@@ -221,6 +253,7 @@ def test_exit_codes(tmp_path, capsys):
                      "--out", str(tmp_path / "t.json")]) == 2, lifetime
         assert "bad lifetime parameter" in capsys.readouterr().err
     spec = {"birth_rate": 1.0, "lifetime": "immortal", "T": 1.0, "steps": 100}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
     comb_doc = {"interval_length": 1.0, "origin_height": 2.0, "teeth": [{"pos": "x", "h": 1.0}]}
     contour_doc = {"breakpoints": [{"time": "x", "before": 0.0, "after": 1.0}]}
     for name, doc, argv, what in (
@@ -237,6 +270,10 @@ def test_exit_codes(tmp_path, capsys):
         flag = "--model-spec" if what == "model spec" else "--in"
         assert main([*argv, flag, str(path), "--out", str(tmp_path / "o.txt")]) == 2, name
         assert f"malformed {what}" in capsys.readouterr().err, name
+    # a grid model is known only up to its spec's T
+    assert main(["sample", "--model", "cpp-from-W", "--model-spec", str(tmp_path / "spec.json"),
+                 "--T", "3", "--seed", "1", "--reps", "2", "--out", str(tmp_path / "o.txt")]) == 2
+    assert "support top" in capsys.readouterr().err
     capsys.readouterr()
 
 

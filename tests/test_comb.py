@@ -95,6 +95,21 @@ def test_distance_domain_error():
         BoundaryPoint(0.0, "left")
 
 
+def test_distance_two_faces_where_no_tooth_stands():
+    # the faces of a position without a tooth coincide, in either order
+    for x in (0.37, 1.0):
+        left, right = BoundaryPoint(x, "left"), BoundaryPoint(x, "right")
+        assert comb_distance(EXAMPLE, left, right) == 0.0
+        assert comb_distance(EXAMPLE, right, left) == 0.0
+
+
+def test_distance_domain_error_names_the_first_argument():
+    with pytest.raises(ValidationError, match=r"position 1\.5 outside"):
+        comb_distance(EXAMPLE, 1.5, 2.0)
+    with pytest.raises(ValidationError, match=r"position 2\.0 outside"):
+        comb_distance(EXAMPLE, 2.0, BoundaryPoint(1.5, "left"))
+
+
 def test_ultrametric_inequality_exact():
     # exact in float arithmetic: distances are maxima of stored heights
     gen = np.random.default_rng(102)

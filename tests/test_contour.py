@@ -43,6 +43,26 @@ def test_contour_flat_zero_stretch():
     assert h.infimum(0.5, 2.0) == 0.0
 
 
+def test_contour_queries_at_jump_times():
+    # jumps at 0, 1.25, 2, 5.5 with troughs 1.75, 3.75, 1.5 just before them
+    h = ContourFunction((0.0, 1.25, 2.0, 5.5), (0.0, 1.75, 3.75, 1.5),
+                        (3.0, 4.5, 5.0, 2.75))
+    # cadlag: at a jump time the value is the top of the jump
+    assert [h.value(t) for t in h.times] == [3.0, 4.5, 5.0, 2.75]
+    assert h.value(-1.0) == 0.0
+    # an empty window is the path value itself
+    assert [h.infimum(t, t) for t in (0.0, 1.25, 3.0)] == [3.0, 4.5, 4.0]
+    # a window starting at a jump excludes that jump's trough; ending at
+    # one includes it
+    assert h.infimum(1.25, 2.0) == 3.75
+    assert h.infimum(0.0, 1.25) == 1.75
+    assert h.infimum(1.25, 5.5) == 1.5
+    assert h.infimum(2.0, 5.0) == 2.0
+    # reversed arguments give the same window
+    for s, t in ((1.25, 2.0), (0.0, 1.25), (0.5, 6.0), (2.0, 5.0)):
+        assert h.infimum(t, s) == h.infimum(s, t)
+
+
 def test_contour_json_round_trip():
     h = ContourFunction.from_jumps([(0.0, 3.0), (1.0, 2.0), (2.5, 0.25)])
     assert ContourFunction.from_dict(json.loads(json.dumps(h.to_dict()))) == h

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from ultracomb import (Comb, IntensityModel, MutationMeasure, MutationSet,
-                       ORIGIN_BRANCH, RandomSource, ValidationError,
+from ultracomb import (ClonalSet, Comb, IntensityModel, MutationMeasure,
+                       MutationSet, ORIGIN_BRANCH, RandomSource, ValidationError,
                        assign_alleles, clonal_laplace_exponent, clonal_set,
                        mutation_clade, sample_cpp_fixed_width,
                        scatter_mutations)
@@ -238,6 +238,17 @@ def test_clonal_set_trivial_cases():
     assert cs.total_measure == pytest.approx(0.7)
     assert cs.contains(0.3) and not cs.contains(0.6)
     assert cs.covers(0.0, 0.5) and not cs.covers(0.4, 0.6)
+
+
+def test_clonal_set_queries_at_interval_ends():
+    cs = ClonalSet(((0.25, 0.5), (0.75, 1.0)))
+    # right-open intervals: a start is inside, an end is outside
+    assert cs.contains(0.25) and cs.contains(0.75)
+    assert not cs.contains(0.5) and not cs.contains(1.0)
+    assert not cs.contains(0.0) and not cs.contains(0.1)
+    assert cs.covers(0.25, 0.5) and cs.covers(0.75, 1.0)
+    assert not cs.covers(0.25, 0.75) and not cs.covers(0.1, 0.3)
+    assert not ClonalSet(()).contains(0.5)
 
 
 def test_clonal_set_agrees_with_assignment_grid():

@@ -174,6 +174,16 @@ def test_cpp_grid_model_killing_unresolved():
     assert s.killing_height == math.inf
 
 
+def test_cpp_horizon_past_support_top_is_rejected_before_any_draw():
+    # a grid model's tail is known only up to its horizon
+    model = solve_scale_function(PopulationModel.yule(1.0), 1.0, 200).intensity_model()
+    rng = RandomSource(20)
+    for horizon in (1.0 + 1e-12, 3.0):
+        with pytest.raises(ValidationError, match="support top"):
+            sample_cpp(model, horizon, 0.0, rng)
+    assert rng.gen.random() == RandomSource(20).gen.random()
+
+
 def test_cpp_infinite_intensity_needs_eps():
     with pytest.raises(ValidationError):
         sample_cpp(IntensityModel.brownian(), 1.0, 0.0, RandomSource(21))
