@@ -8,12 +8,13 @@ across ``--jobs`` workers with per-replicate streams derived from the
 seed, so results do not depend on the job count.
 
 Exit codes: 0 ok, 2 validation, 3 numeric/resource (memory exhaustion
-included), 4 I/O.
+and arrays numpy refuses as too big included), 4 I/O.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -292,7 +293,9 @@ def cmd_treecode(args) -> int:
 
 # ----------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="ultracomb",
                                      description="Random ultrametric trees as combs")
     parser.add_argument("--version", action="version", version=__version__)
@@ -359,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if getattr(args, "q", None) is None and args.command == "spectrum":
         args.q = [1.0]
     try:
@@ -371,7 +373,10 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, ResourceError) as exc:
         print(f"ultracomb: numeric error: {exc}", file=sys.stderr)
         return 3
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses an array larger than any memory with a ValueError
+        if not isinstance(exc, MemoryError) and not str(exc).startswith("array is too big"):
+            raise
         print(f"ultracomb: resource error: out of memory ({str(exc) or 'allocation refused'})",
               file=sys.stderr)
         return 3

@@ -352,6 +352,9 @@ def _checked_linkage(matrix) -> tuple[np.ndarray, np.ndarray | None]:
     """:func:`validate_ultrametric`, also returning the single-linkage
     matrix of ``min(d, d.T)`` (None for one point).
 
+    Every check but the diagonal's reads the two condensed triangles,
+    ``d[i, j]`` and ``d[j, i]`` for i < j.  Symmetry is numpy's
+    ``isclose`` rule both ways round, so a NaN anywhere fails it first.
     The certificate ``d <= cophenet + tol`` is sound: the cophenetic
     distance of i and k is at most max(d[i,j], d[j,k]) for every j, so it
     implies every triple inequality.
@@ -362,24 +365,29 @@ def _checked_linkage(matrix) -> tuple[np.ndarray, np.ndarray | None]:
     n = d.shape[0]
     if n == 0:
         raise ValidationError("distance matrix must contain at least one point")
-    if not np.allclose(d, d.T, rtol=_ULTRAMETRIC_RTOL, atol=0.0):
+    # imported on first use, so the sampling paths do not pay for it
+    from scipy.cluster.hierarchy import cophenet, linkage
+    from scipy.spatial.distance import squareform
+
+    upper, lower = squareform(d, checks=False), squareform(d.T, checks=False)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        gap = np.abs(upper - lower)
+    close = ((gap <= _ULTRAMETRIC_RTOL * np.abs(lower)) & (gap <= _ULTRAMETRIC_RTOL * np.abs(upper))
+             & np.isfinite(gap))
+    if np.isnan(d.diagonal()).any() or not np.all(close | (upper == lower)):
         raise ValidationError("distance matrix must be symmetric")
-    if np.any(np.diag(d) != 0.0):
+    if np.any(d.diagonal() != 0.0):
         raise ValidationError("distance matrix must have a zero diagonal")
-    off = d[~np.eye(n, dtype=bool)]
-    if off.size and np.any(off <= 0.0):
+    low, high = np.minimum(upper, lower), np.maximum(upper, lower)
+    if np.any(low <= 0.0):
         raise ValidationError("off-diagonal distances must be positive (points must be distinct)")
-    if not np.all(np.isfinite(off)):
+    if not np.all(np.isfinite(high)):
         raise ValidationError("off-diagonal distances must be finite")
-    tol = _ULTRAMETRIC_RTOL * float(off.max()) if off.size else 0.0
+    tol = _ULTRAMETRIC_RTOL * float(high.max()) if n > 1 else 0.0
     link = None
     if n > 1:
-        # imported on first use, so the sampling paths do not pay for it
-        from scipy.cluster.hierarchy import cophenet, linkage
-        from scipy.spatial.distance import squareform
-
-        link = linkage(squareform(np.minimum(d, d.T), checks=False), method="single")
-        if np.all(d <= squareform(cophenet(link)) + tol):
+        link = linkage(low, method="single")
+        if np.all(high <= cophenet(link) + tol):
             return d, link
     # O(n^3) fallback, the only rejection path:
     # d[i, k] <= max(d[i, j], d[j, k]) for all j; chunk j to bound memory

@@ -268,10 +268,8 @@ def sample_splitting_tree(birth_rate: float, lifetime: Lifetime, horizon: float,
         raise ResourceError(f"no attempt out of {_SPLITTING_RETRIES} survived to the horizon")
 
     splits = [births[i] for i in order[1:]]
-    tree = _tree_from_separators([min(deaths[i], horizon) for i in order], splits, splits)
-    for leaf, i in zip(tree.leaves(), order):
-        leaf.label = str(i)
-    return tree
+    return _tree_from_separators([min(deaths[i], horizon) for i in order], splits, splits,
+                                 [str(i) for i in order])
 
 
 def reduce_population_tree(tree: Tree, horizon: float) -> Comb:
@@ -279,28 +277,24 @@ def reduce_population_tree(tree: Tree, horizon: float) -> Comb:
 
     Survivors are the edges crossing the horizon, in planar order; each
     gets a unit of interval, and consecutive survivors are separated by
-    a tooth whose height is the time back to their divergence.  One
-    explicit-stack pass reads the tree as a contour, in O(n): leaf
-    depths, and between neighbouring leaves the depth of the node where
-    the later one branches off.  Raises if nothing reaches the horizon,
-    or if survivors only meet at depth 0.
+    a tooth whose height is the time back to their divergence.  A few
+    array passes over the tree's preorder layout read it as a contour,
+    in O(n): leaf depths, and between neighbouring leaves the depth of
+    the node where the later one branches off.  Raises if nothing
+    reaches the horizon, or if survivors only meet at depth 0.
     """
     if not horizon > 0:
         raise ValidationError("horizon must be positive")
-    depths: list[float] = []
-    gaps: list[float] = []  # per leaf, where it branches off the previous one
-    stack = [(tree.root, tree.root.depth)]
-    while stack:
-        node, gap = stack.pop()
-        kids = node.children
-        if kids:
-            stack += [(child, node.depth) for child in kids[:0:-1]]
-            stack.append((kids[0], gap))
-        else:
-            depths.append(node.depth)
-            gaps.append(gap)
-    gaps.append(tree.root.depth)  # the last leaf falls back to the root
-    return _sphere_comb(depths, gaps[1:], horizon)
+    parent, depth = tree._parent, tree._depth
+    # a node branches off at its parent's depth, but a first child (the
+    # node right after its parent) inherits its parent's branch point:
+    # read it at the top of the run of first children (the root: its depth)
+    nodes = np.arange(parent.size)
+    top = np.maximum.accumulate(np.where(parent == nodes - 1, 0, nodes))
+    gaps = depth[np.maximum(parent, 0)[top]]
+    leaves = tree._leaves()
+    # each leaf falls to where the next one branches off; the last to the root
+    return _sphere_comb(depth[leaves], np.append(gaps[leaves[1:]], depth[0]), horizon)
 
 
 def rescale_comb(comb: Comb, eps: float) -> Comb:

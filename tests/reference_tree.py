@@ -143,7 +143,7 @@ def reference_parse_newick(text: str) -> Tree:
     return Tree(root)
 
 
-def reference_path_to(tree: Tree, label: str) -> list[TreeNode] | None:
+def reference_path_to(root: TreeNode, label: str) -> list[TreeNode] | None:
     def walk(node: TreeNode, acc: list[TreeNode]) -> list[TreeNode] | None:
         acc.append(node)
         if node.is_leaf and node.label == label:
@@ -155,7 +155,7 @@ def reference_path_to(tree: Tree, label: str) -> list[TreeNode] | None:
         acc.pop()
         return None
 
-    return walk(tree.root, [])
+    return walk(root, [])
 
 
 def reference_sample_splitting_tree(birth_rate, lifetime, horizon, rng) -> Tree:

@@ -164,6 +164,41 @@ def test_memory_exhaustion_exits_3_without_traceback(tmp_path, capsys, monkeypat
     assert err == "ultracomb: resource error: out of memory (Unable to allocate 7.28 TiB)\n"
 
 
+# 2**62: numpy refuses an array this long before allocating anything
+@pytest.mark.parametrize("argv", [
+    ["solve-w", "--steps", str(2 ** 62)],
+    ["sample", "--model", "kingman", "--n-teeth", str(2 ** 62), "--seed", "1"],
+    ["spectrum", "--mode", "sample", "--n", "5", "--theta", "1", "--n-teeth", str(2 ** 62),
+     "--seed", "1"]])
+def test_oversized_counts_exit_3_without_traceback(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "o.txt")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ultracomb: resource error: out of memory (array is too big")
+    assert err.count("\n") == 1
+
+
+def test_consecutive_calls_share_no_parser_state(tmp_path):
+    out = tmp_path / "o.csv"
+
+    def config(*argv):
+        assert main([*argv, "--out", str(out)]) == 0
+        return json.loads(out.read_text().splitlines()[0].removeprefix("# config: "))
+
+    population = ["spectrum", "--mode", "population", "--model", "cpp-critical-bd",
+                  "--theta", "1", "--T", "5", "--reps", "2", "--seed", "1"]
+    assert config(*population, "--q", "2", "--q", "4")["q"] == [2.0, 4.0]
+    assert config(*population)["q"] == [1.0]
+    assert config(*population, "--q", "3")["q"] == [3.0]
+    sample = ["spectrum", "--mode", "sample", "--theta", "1", "--reps", "2", "--seed", "1"]
+    assert config(*sample, "--n", "3", "--n-teeth", "70")["n_teeth"] == 70
+    assert config(*sample, "--n", "3")["n_teeth"] == 150
+    kingman = tmp_path / "k.json"
+    assert main(["sample", "--model", "kingman", "--seed", "1", "--out", str(kingman)]) == 0
+    assert json.loads(kingman.read_text())["config"]["n_teeth"] == 100
+    assert config(*sample, "--n", "4")["n_teeth"] == 200
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_sample_cpp_from_solved_model(tmp_path):
     spec = tmp_path / "model.json"
     spec.write_text(json.dumps({"birth_rate": 1.0, "lifetime": "immortal",

@@ -9,7 +9,7 @@ import pytest
 from scipy.cluster.hierarchy import cophenet, linkage
 from scipy.spatial.distance import squareform
 
-from ultracomb import (BoundaryPoint, Comb, Partition, ValidationError,
+from ultracomb import (BoundaryPoint, Comb, Partition, Tree, ValidationError,
                        ball_partition, comb_distance, comb_from_ultrametric,
                        comb_to_tree, parse_newick, validate_ultrametric)
 
@@ -344,6 +344,60 @@ def test_deep_caterpillar_rebuilds_without_recursion():
     assert np.array_equal(comb.heights, (n - np.arange(n - 1)) / 2.0)
 
 
+# a pair numpy's isclose (rtol 1e-9) accepts one way round only
+ONE_WAY = (1.5888212956636651, 1.5888212972524864)
+INF, NAN = float("inf"), float("nan")
+SYMMETRIC = "distance matrix must be symmetric"
+DIAGONAL = "distance matrix must have a zero diagonal"
+POSITIVE = "off-diagonal distances must be positive (points must be distinct)"
+FINITE = "off-diagonal distances must be finite"
+TRIPLE = "ultrametric inequality violated for triple (0, 2, 1): d=5.0 > max(4.0, 4.0)"
+# (edits to a 4-point ultrametric, the error the all-matrix checks gave)
+FAULTY_MATRICES = [
+    ([(1, 1, NAN)], SYMMETRIC),
+    ([(0, 2, NAN)], SYMMETRIC),
+    ([(0, 2, NAN), (2, 0, NAN)], SYMMETRIC),
+    ([(0, 3, INF)], SYMMETRIC),
+    ([(0, 3, INF), (3, 0, INF)], FINITE),
+    ([(0, 3, -INF), (3, 0, -INF)], POSITIVE),
+    ([(0, 3, INF), (3, 0, -INF)], SYMMETRIC),
+    ([(0, 1, ONE_WAY[0]), (1, 0, ONE_WAY[1])], SYMMETRIC),
+    ([(0, 1, ONE_WAY[1]), (1, 0, ONE_WAY[0])], SYMMETRIC),
+    ([(0, 1, 2.0), (1, 0, 2.0 * (1 + 5e-10))], None),
+    ([(0, 1, 0.0), (1, 0, 0.0)], POSITIVE),
+    ([(2, 3, -2.0), (3, 2, -2.0)], POSITIVE),
+    ([(2, 2, 1.0)], DIAGONAL),
+    ([(0, 0, INF)], DIAGONAL),
+    ([(0, 0, INF), (1, 1, -INF)], DIAGONAL),
+    ([(0, 1, 5.0), (1, 0, 5.0)], TRIPLE),
+    # several faults at once
+    ([(1, 1, NAN), (0, 1, 3.0)], SYMMETRIC),
+    ([(3, 3, NAN), (0, 1, -1.0), (1, 0, -1.0)], SYMMETRIC),
+    ([(0, 1, 3.0), (2, 2, 1.0)], SYMMETRIC),
+    ([(2, 2, 1.0), (0, 1, -1.0), (1, 0, -1.0)], DIAGONAL),
+    ([(2, 2, 1.0), (0, 3, INF), (3, 0, INF)], DIAGONAL),
+    ([(0, 1, 0.0), (1, 0, 0.0), (2, 3, INF), (3, 2, INF)], POSITIVE),
+    ([(0, 1, -1.0), (1, 0, -1.0), (2, 3, NAN), (3, 2, NAN)], SYMMETRIC),
+    ([(0, 3, INF), (3, 0, INF), (0, 1, 5.0), (1, 0, 5.0)], FINITE),
+    ([(0, 1, 5.0), (1, 0, 5.0), (3, 3, 0.5)], DIAGONAL),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edits, message", FAULTY_MATRICES)
+def test_matrix_faults_keep_their_message_and_precedence(edits, message):
+    d = np.array([[0, 2, 4, 4], [2, 0, 4, 4], [4, 4, 0, 2], [4, 4, 2, 0]], dtype=float)
+    for i, j, value in edits:
+        d[i, j] = value
+    for check in (validate_ultrametric, comb_from_ultrametric):
+        try:
+            check(d)
+            got = None
+        except ValidationError as exc:
+            got = str(exc)
+        assert got == message
+
+
 # ----------------------------------------------------------------------
 # comb -> tree
 
@@ -390,8 +444,8 @@ def test_tree_tied_heights_multifurcate():
     c = Comb(1.0, 2.0, [(0.25, 1.0), (0.5, 1.0), (0.75, 1.0)])
     t = comb_to_tree(c)
     assert len(t.root.children[0].children) == 4
-    for parent, child in t.edges():
-        assert child.depth > parent.depth  # positive edge lengths
+    for parent in t.nodes():
+        assert all(child.depth > parent.depth for child in parent.children)  # positive edges
 
 
 def test_tree_matches_recursive_reference():
@@ -431,11 +485,12 @@ def test_newick_export_and_parse_match_recursive_reference():
         got, want = parse_newick(text), reference_parse_newick(text)
         assert got.newick(17) == reference_newick(want, 17)
         assert [(x.depth, x.label) for x in got.nodes()] == [(x.depth, x.label) for x in want.nodes()]
-        for label in [x for x in got.leaf_labels() if x][:5]:
-            assert ([x.depth for x in got._path_to(label)]
-                    == [x.depth for x in reference_path_to(want, label)])
-        with pytest.raises(ValidationError, match="no leaf labelled"):
-            got._path_to("missing")
+        labels, root = [x for x in got.leaf_labels() if x][:5], want.root
+        for a, b in itertools.combinations(labels, 2):
+            pa, pb = reference_path_to(root, a), reference_path_to(root, b)
+            assert got.mrca_depth(a, b) == [x.depth for x, y in zip(pa, pb) if x is y][-1]
+        with pytest.raises(ValidationError, match="no leaf labelled 'missing'"):
+            got.mrca_depth(labels[0] if labels else "missing", "missing")
 
 
 def test_newick_parse_errors_match_recursive_reference():
@@ -449,13 +504,23 @@ def test_newick_parse_errors_match_recursive_reference():
 
 
 def test_deep_caterpillar_newick_round_trip():
-    n = 5000
+    # 100,000 levels, far past the recursion limit
+    n = 100_000
     c = Comb.from_arrays(n + 1.0, n + 1.0, np.arange(1.0, n + 1.0), np.arange(n, 0.0, -1.0))
     text = comb_to_tree(c).newick()
-    assert text.count("(") == n + 1
+    assert text.startswith(f"((0:{n},(1:{n - 1},") and text.count("(") == n + 1
     back = parse_newick(text)
     assert back.newick() == text
     assert back.leaf_labels() == [str(i) for i in range(n + 1)]
-    assert all(d == n + 1.0 for d in back.leaf_depths())
+    assert back.leaf_depths() == [n + 1.0] * (n + 1)
     assert back.distance("0", str(n)) == 2.0 * n
     assert back.mrca_depth(str(n - 1), str(n)) == n
+    # leaf '0' hangs from the node at depth 1; put it at depth 1 - n instead
+    message = f"negative edge length: child depth {1.0 - n} above parent 1.0"
+    with pytest.raises(ValidationError) as parsed:
+        parse_newick(text.replace(f"0:{n},", f"0:{-n},", 1))
+    view = back.nodes()
+    next(node for node in view if node.is_leaf).depth = 1.0 - n
+    with pytest.raises(ValidationError) as built:
+        Tree(view[0])
+    assert str(parsed.value) == str(built.value) == message

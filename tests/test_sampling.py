@@ -326,9 +326,10 @@ def _random_grid_tree(gen) -> Tree:
             node.children.append(child)
             frontier.append(child)
             n_nodes += 1
-    for k, leaf in enumerate(Tree(root).leaves()):
+    view = Tree(root).nodes()  # label the leaves of a view, in planar order
+    for k, leaf in enumerate(node for node in view if node.is_leaf):
         leaf.label = f"L{k}"
-    return parse_newick(Tree(root).newick(17))
+    return parse_newick(Tree(view[0]).newick(17))
 
 
 def test_reduce_parsed_trees_matches_reference():

@@ -29,6 +29,13 @@ CONTOUR = {"breakpoints": [
     {"time": 2.0, "before": 3.75, "after": 5.0},
     {"time": 5.5, "before": 1.5, "after": 2.75},
 ]}
+# the troughs before the jumps at 2 and 5 tie exactly: a multifurcation
+TIED_CONTOUR = {"breakpoints": [
+    {"time": 0.0, "before": 0.0, "after": 3.0},
+    {"time": 2.0, "before": 1.0, "after": 4.0},
+    {"time": 5.0, "before": 1.0, "after": 2.5},
+    {"time": 6.0, "before": 1.5, "after": 3.0},
+]}
 
 COMMANDS = {
     "sample-kingman.json": ["sample", "--model", "kingman", "--n-teeth", "50",
@@ -46,6 +53,10 @@ COMMANDS = {
     "sample-splitting-jobs2.json": ["sample", "--model", "splitting", "--b", "1",
                                     "--lifetime", "exponential(1)", "--T", "2",
                                     "--seed", "3", "--reps", "6", "--jobs", "2"],
+    # a horizon at which each tree grows a few hundred nodes
+    "sample-splitting-large.json": ["sample", "--model", "splitting", "--b", "2",
+                                    "--lifetime", "exponential(1)", "--T", "5",
+                                    "--seed", "5", "--reps", "2"],
     "mutate.json": ["mutate", "--in", "sample-kingman.json", "--index", "1",
                     "--theta", "1", "--include-origin", "--seed", "4"],
     "spectrum-sample.csv": ["spectrum", "--mode", "sample", "--n", "5", "--theta", "1",
@@ -62,6 +73,7 @@ COMMANDS = {
                     "--T", "1", "--steps", "500"],
     "solve-w-spec.csv": ["solve-w", "--model-spec", "model-fixed.json"],
     "treecode.nwk": ["treecode", "--in", "contour.json", "--to", "newick"],
+    "treecode-tied.nwk": ["treecode", "--in", "contour-tied.json", "--to", "newick"],
     "treecode-comb.json": ["treecode", "--in", "contour.json", "--to", "comb", "--T", "2.5"],
 }
 
@@ -74,7 +86,7 @@ def snapshot(outdir: str) -> int:
     failed = 0
     try:
         for name, doc in (("model.json", MODEL_SPEC), ("model-fixed.json", FIXED_SPEC),
-                          ("contour.json", CONTOUR)):
+                          ("contour.json", CONTOUR), ("contour-tied.json", TIED_CONTOUR)):
             with open(name, "w") as fh:
                 json.dump(doc, fh, sort_keys=True)
         for name, argv in COMMANDS.items():
