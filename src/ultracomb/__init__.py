@@ -18,9 +18,8 @@ from .intensity import (CustomLifetime, ExponentialLifetime, FixedLifetime,
                         ScaleSolution, TimeChange, cpp_intensity_from_pure_birth,
                         mutation_rate_pushforward, parse_lifetime,
                         solve_scale_function, time_change_comb)
-from .mutation import (ORIGIN_BRANCH, CladeInterval, ClonalSet, MutationAtom,
-                       MutationMeasure, MutationSet, assign_alleles,
-                       clonal_laplace_exponent, clonal_set, mutation_clade,
+from .mutation import (ORIGIN_BRANCH, ClonalSet, MutationMeasure, MutationSet,
+                       assign_alleles, clonal_laplace_exponent, clonal_set,
                        scatter_mutations)
 from .rng import RandomSource
 from .sampling import (CppSample, padic_comb, reduce_population_tree,
@@ -44,9 +43,8 @@ __all__ = [
     "IntensityModel", "PopulationModel", "ScaleSolution", "TimeChange",
     "cpp_intensity_from_pure_birth", "mutation_rate_pushforward",
     "parse_lifetime", "solve_scale_function", "time_change_comb",
-    "ORIGIN_BRANCH", "CladeInterval", "ClonalSet", "MutationAtom",
-    "MutationMeasure", "MutationSet", "assign_alleles",
-    "clonal_laplace_exponent", "clonal_set", "mutation_clade",
+    "ORIGIN_BRANCH", "ClonalSet", "MutationMeasure", "MutationSet",
+    "assign_alleles", "clonal_laplace_exponent", "clonal_set",
     "scatter_mutations",
     "RandomSource",
     "CppSample", "padic_comb", "reduce_population_tree", "rescale_comb",

@@ -105,8 +105,8 @@ def _require_seed(args) -> None:
 
 def _shard(reps: int, jobs: int) -> list[range]:
     jobs = max(1, min(jobs, os.cpu_count() or 1))  # one shard per worker, one worker per CPU
-    bounds = np.linspace(0, reps, jobs + 1).astype(int)
-    return [range(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if b > a]
+    bounds = [reps * k // jobs for k in range(jobs + 1)]  # integers: exact at any reps
+    return [range(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
 def _run_sharded(worker, args) -> list:
@@ -366,6 +366,8 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "q", None) is None and args.command == "spectrum":
         args.q = [1.0]
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except ValidationError as exc:
         print(f"ultracomb: validation error: {exc}", file=sys.stderr)
@@ -375,7 +377,8 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (MemoryError, ValueError) as exc:
         # numpy refuses an array larger than any memory with a ValueError
-        if not isinstance(exc, MemoryError) and not str(exc).startswith("array is too big"):
+        if not isinstance(exc, MemoryError) and not str(exc).startswith(
+                ("array is too big", "Maximum allowed size exceeded")):
             raise
         print(f"ultracomb: resource error: out of memory ({str(exc) or 'allocation refused'})",
               file=sys.stderr)

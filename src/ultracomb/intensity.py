@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .comb import Comb
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ResourceError, ValidationError
 
 __all__ = [
     "Immortal",
@@ -290,6 +290,8 @@ def solve_scale_function(model: PopulationModel, horizon: float, steps: int) -> 
     if not 0 < horizon < math.inf:
         raise ValidationError("horizon must be positive and finite")
     n = int(steps)
+    if float(n + 1) >= 2.0 ** 63:  # np.linspace would count past int64 into an empty grid
+        raise ResourceError(f"{n} steps need a grid larger than any array numpy can hold")
     dt = horizon / n
     ts = np.linspace(0.0, horizon, n + 1)
     try:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,12 +26,9 @@ from .rng import RandomSource
 __all__ = [
     "ORIGIN_BRANCH",
     "MutationMeasure",
-    "MutationAtom",
     "MutationSet",
-    "CladeInterval",
     "ClonalSet",
     "scatter_mutations",
-    "mutation_clade",
     "assign_alleles",
     "clonal_set",
     "clonal_laplace_exponent",
@@ -78,36 +75,21 @@ class MutationMeasure:
                 raise ValidationError(f"mutation measure inverse inconsistent at {p}")
 
 
-class MutationAtom(NamedTuple):
-    branch: int  # ORIGIN_BRANCH or a tooth index
-    depth: float
-
-
 class MutationSet:
     """An immutable set of mutation atoms, stored as two arrays sorted by
     (branch, depth): ``branch`` (int64) and ``depth`` (float64).
 
-    Two atoms at the same depth on the same branch would be
+    Built from parallel branch and depth sequences in any order.  Two
+    atoms at the same depth on the same branch would be
     indistinguishable and are rejected; equal depths on distinct
     branches are harmless (their carrier intervals are disjoint).
-    ``atoms`` and iteration give the atoms as ``MutationAtom`` tuples.
     """
 
     __slots__ = ("branch", "depth")
 
-    def __init__(self, atoms: Sequence[tuple[int, float]]):
-        atoms = [(int(b), float(d)) for b, d in atoms]
-        self._init_from_arrays(np.array([a[0] for a in atoms], dtype=np.int64),
-                               np.array([a[1] for a in atoms], dtype=float))
-
-    @classmethod
-    def from_arrays(cls, branch: np.ndarray, depth: np.ndarray) -> "MutationSet":
-        """Atoms from parallel branch and depth arrays, in any order."""
-        ms = cls.__new__(cls)
-        ms._init_from_arrays(np.asarray(branch, dtype=np.int64), np.asarray(depth, dtype=float))
-        return ms
-
-    def _init_from_arrays(self, branch: np.ndarray, depth: np.ndarray) -> None:
+    def __init__(self, branch: Sequence[int], depth: Sequence[float]):
+        branch = np.asarray(branch, dtype=np.int64)
+        depth = np.asarray(depth, dtype=float)
         if branch.shape != depth.shape or branch.ndim != 1:
             raise ValidationError("branch and depth must be 1-d arrays of equal length")
         order = np.lexsort((depth, branch))
@@ -116,21 +98,14 @@ class MutationSet:
         if dup.size:
             k = int(dup[0])
             raise ValidationError(
-                f"duplicate mutation atom {MutationAtom(int(branch[k]), float(depth[k]))}")
+                f"duplicate mutation atom on branch {int(branch[k])} at depth {float(depth[k])}")
         branch.flags.writeable = False
         depth.flags.writeable = False
         self.branch = branch
         self.depth = depth
 
-    @property
-    def atoms(self) -> tuple[MutationAtom, ...]:
-        return tuple(map(MutationAtom, self.branch.tolist(), self.depth.tolist()))
-
     def __len__(self) -> int:
         return int(self.branch.size)
-
-    def __iter__(self):
-        return iter(self.atoms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MutationSet):
@@ -186,9 +161,10 @@ class MutationSet:
     def from_list(cls, data: Sequence[dict]) -> "MutationSet":
         """The set of a :meth:`to_list` document (ValidationError if malformed)."""
         with _malformed("mutation document"):
-            atoms = [(ORIGIN_BRANCH if item["branch"] == "origin" else int(item["branch"]),
-                      float(item["depth"])) for item in data]
-        return cls(atoms)
+            branch = [ORIGIN_BRANCH if item["branch"] == "origin" else int(item["branch"])
+                      for item in data]
+            depth = [float(item["depth"]) for item in data]
+        return cls(branch, depth)
 
 
 def scatter_mutations(comb: Comb, measure: MutationMeasure, include_origin: bool,
@@ -221,28 +197,7 @@ def scatter_mutations(comb: Comb, measure: MutationMeasure, include_origin: bool
     depths = np.minimum(depths, np.nextafter(heights[branches], 0.0))
     depths = np.maximum(depths, np.nextafter(0.0, 1.0))
     branches[branches == comb.n_teeth] = ORIGIN_BRANCH
-    return MutationSet.from_arrays(branches, depths)
-
-
-@dataclass(frozen=True)
-class CladeInterval:
-    """The carrier interval [start, end) of one mutation atom."""
-
-    atom: MutationAtom
-    start: float
-    end: float
-
-    @property
-    def measure(self) -> float:
-        return self.end - self.start
-
-
-def mutation_clade(comb: Comb, atom) -> CladeInterval:
-    """Carriers of one mutation: from its branch position to the first
-    tooth to the right taller than its depth (or the interval end)."""
-    atom = MutationAtom(int(atom[0]), float(atom[1]))
-    start, end = MutationSet([atom]).clade_bounds(comb)
-    return CladeInterval(atom=atom, start=float(start[0]), end=float(end[0]))
+    return MutationSet(branches, depths)
 
 
 def _clade_forest(start: np.ndarray, end: np.ndarray

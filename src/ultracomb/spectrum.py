@@ -56,10 +56,6 @@ class FrequencySpectrum:
     def from_counts(cls, counts: Sequence[int]) -> "FrequencySpectrum":
         return cls(counts=tuple(int(c) for c in counts))
 
-    @classmethod
-    def from_masses(cls, masses: Sequence[float]) -> "FrequencySpectrum":
-        return cls(masses=tuple(float(m) for m in masses))
-
     @property
     def sample_size(self) -> int:
         if self.counts is None:
@@ -227,7 +223,7 @@ def population_spectrum(comb: Comb, mutations: MutationSet) -> FrequencySpectrum
     order = np.lexsort((rank, group))
     carriers = np.subtract.reduceat(np.concatenate((length, length[child]))[order],
                                     np.flatnonzero(rank[order] < 0))
-    return FrequencySpectrum.from_masses(carriers[carriers > 0.0].tolist())
+    return FrequencySpectrum(masses=tuple(carriers[carriers > 0.0].tolist()))
 
 
 def gem_ranked_oracle(theta: float, depth: int, reps: int, rng: RandomSource) -> np.ndarray:

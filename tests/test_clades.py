@@ -8,7 +8,7 @@ import pytest
 from ultracomb import (ORIGIN_BRANCH, Comb, MutationMeasure, MutationSet,
                        RandomSource, ValidationError, assign_alleles,
                        ball_partition, clonal_set, comb_distance,
-                       mutation_clade, population_spectrum, scatter_mutations)
+                       population_spectrum, scatter_mutations)
 from ultracomb.comb import _BLOCK
 
 from reference_clades import (reference_ball_partition, reference_clade,
@@ -31,18 +31,16 @@ def make_comb(gen, n: int, tied: bool) -> Comb:
 def rich_mutations(gen, comb: Comb) -> MutationSet:
     """Several atoms per branch, atoms on the origin, and atoms sitting
     exactly at other teeth's heights."""
-    atoms = []
+    branch, depth = [], []
     for b in range(comb.n_teeth):
         h = float(comb.heights[b])
-        for d in np.unique(gen.random(int(gen.integers(0, 4))) * h):
-            if 0.0 < d < h:
-                atoms.append((b, float(d)))
+        ds = [float(d) for d in np.unique(gen.random(int(gen.integers(0, 4))) * h) if 0.0 < d < h]
         if b and comb.heights[b - 1] < h:
-            atoms.append((b, float(comb.heights[b - 1])))
-    for d in np.unique(gen.random(3) * comb.origin_height):
-        if d > 0.0:
-            atoms.append((ORIGIN_BRANCH, float(d)))
-    return MutationSet(atoms)
+            ds.append(float(comb.heights[b - 1]))
+        branch += [b] * len(ds)
+        depth += ds
+    ds = [float(d) for d in np.unique(gen.random(3) * comb.origin_height) if d > 0.0]
+    return MutationSet(branch + [ORIGIN_BRANCH] * len(ds), depth + ds)
 
 
 def check_queries(comb: Comb, gen, count: int) -> None:
@@ -61,8 +59,13 @@ def check_queries(comb: Comb, gen, count: int) -> None:
     assert [comb.max_height_between(int(a), int(b)) for a, b in zip(lo, hi)] == want
 
 
+def pairs(ms: MutationSet) -> list[tuple[int, float]]:
+    """The atoms as (branch, depth) pairs, in the set's order."""
+    return list(zip(ms.branch.tolist(), ms.depth.tolist()))
+
+
 def check_clade_code(comb: Comb, ms: MutationSet, gen) -> None:
-    atoms = ms.atoms
+    atoms = pairs(ms)
     assert population_spectrum(comb, ms).masses == reference_population_masses(comb, atoms)
     pts = np.concatenate((gen.random(40), comb.positions[:5], [0.0, comb.interval_length]))
     part, labels = assign_alleles(comb, ms, pts)
@@ -143,42 +146,47 @@ def test_single_clade_matches_batch():
     c = make_comb(gen, 70, True)
     ms = rich_mutations(gen, c)
     start, end = ms.clade_bounds(c)
-    for atom, s, e in zip(ms, start.tolist(), end.tolist()):
-        clade = mutation_clade(c, atom)
-        assert (clade.atom, clade.start, clade.end) == (atom, s, e)
+    assert len(ms) > 50
+    for (b, d), s, e in zip(pairs(ms), start.tolist(), end.tolist()):
+        one = MutationSet([b], [d]).clade_bounds(c)
+        assert [x.tolist() for x in one] == [[s], [e]]
 
 
 # ----------------------------------------------------------------------
 # mutation sets as arrays
 
 def test_mutation_set_arrays_and_atom_order():
-    raw = [(2, 0.5), (ORIGIN_BRANCH, 3.5), (0, 1.25), (2, 0.25), (0, 0.75)]
-    ms = MutationSet(raw)
-    assert ms.atoms == tuple(sorted(raw))
-    assert list(ms) == sorted(raw)
+    branch, depth = [2, ORIGIN_BRANCH, 0, 2, 0], [0.5, 3.5, 1.25, 0.25, 0.75]
+    ms = MutationSet(branch, depth)
+    assert pairs(ms) == sorted(zip(branch, depth))
     assert ms.branch.dtype == np.int64 and ms.depth.dtype == np.float64
     assert ms.branch.tolist() == [-1, 0, 0, 2, 2]
     assert not ms.branch.flags.writeable and not ms.depth.flags.writeable
-    assert len(ms) == 5 and len(MutationSet([])) == 0
-    assert MutationSet.from_arrays(np.array([2, -1, 0, 2, 0]), [0.5, 3.5, 1.25, 0.25, 0.75]) == ms
+    assert len(ms) == 5 and len(MutationSet([], [])) == 0
+    # unsorted numpy arrays build the set the lists do, and are left as they were
+    arrays = np.array(branch, dtype=np.int32), np.array(depth)
+    assert MutationSet(*arrays) == ms
+    assert arrays[0].tolist() == branch and arrays[1].flags.writeable
     assert MutationSet.from_list(ms.to_list()) == ms
     assert ms.to_list()[1] == {"branch": 0, "depth": 0.75}
-    assert ms != MutationSet(raw[:4])
+    assert ms != MutationSet(branch[:4], depth[:4])
 
 
 def test_mutation_set_messages_name_the_first_bad_atom():
     with pytest.raises(ValidationError, match=r"^duplicate mutation atom "
-                       r"MutationAtom\(branch=1, depth=0\.5\)$"):
-        MutationSet([(3, 0.5), (1, 0.5), (3, 0.5), (1, 0.5)])
+                       r"on branch 1 at depth 0\.5$"):
+        MutationSet([3, 1, 3, 1], [0.5, 0.5, 0.5, 0.5])
+    with pytest.raises(ValidationError, match=r"^branch and depth must be 1-d arrays"):
+        MutationSet([0, 1], [0.5])
     c = Comb(1.0, 4.0, [(0.2, 3.0), (0.5, 1.0), (0.8, 2.0)])
     with pytest.raises(ValidationError, match=r"^atom depth 1\.5 outside \(0, 1\.0\) on branch 1$"):
-        MutationSet([(1, 1.5), (2, 2.5), (7, 0.1)]).validate_for(c)
+        MutationSet([1, 2, 7], [1.5, 2.5, 0.1]).validate_for(c)
     with pytest.raises(ValidationError, match=r"^atom branch -2 is not a tooth of the comb$"):
-        MutationSet([(1, 1.5), (-2, 0.1)]).validate_for(c)
+        MutationSet([1, -2], [1.5, 0.1]).validate_for(c)
     with pytest.raises(ValidationError, match=r"^atom depth 4\.0 outside \(0, 4\.0\) on branch -1$"):
-        MutationSet([(ORIGIN_BRANCH, 4.0)]).validate_for(c)
+        MutationSet([ORIGIN_BRANCH], [4.0]).validate_for(c)
     with pytest.raises(ValidationError, match=r"^atom depth 0\.0 outside"):
-        MutationSet([(0, 0.0)]).validate_for(c)
+        MutationSet([0], [0.0]).validate_for(c)
     with pytest.raises(ValidationError, match=r"^atom branch 0 is not a tooth"):
-        MutationSet([(0, 0.5)]).validate_for(Comb(1.0, 1.0, []))
-    MutationSet([(ORIGIN_BRANCH, 0.5)]).validate_for(Comb(1.0, 1.0, []))
+        MutationSet([0], [0.5]).validate_for(Comb(1.0, 1.0, []))
+    MutationSet([ORIGIN_BRANCH], [0.5]).validate_for(Comb(1.0, 1.0, []))

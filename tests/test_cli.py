@@ -177,6 +177,23 @@ def test_oversized_counts_exit_3_without_traceback(tmp_path, capsys, argv):
     assert err.count("\n") == 1
 
 
+# counts at and past 2**63: numpy's float count or its size check refuses them
+# before allocating anything
+@pytest.mark.parametrize("argv", [
+    ["solve-w", "--steps", str(2 ** 63 - 1)],
+    ["solve-w", "--steps", str(2 ** 63 - 2)],
+    ["solve-w", "--steps", str(2 ** 64)],
+    ["sample", "--model", "kingman", "--n-teeth", str(2 ** 64), "--seed", "1"],
+    ["spectrum", "--mode", "sample", "--theta", "1", "--n", str(2 ** 63 - 1), "--reps", "2",
+     "--seed", "1"]])
+def test_counts_past_int64_exit_3_with_one_line(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "o.txt")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ultracomb: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.txt").exists()
+
+
 def test_consecutive_calls_share_no_parser_state(tmp_path):
     out = tmp_path / "o.csv"
 
@@ -330,6 +347,24 @@ def test_population_mode_checks_before_starting_workers(tmp_path, capsys, monkey
     assert not (tmp_path / "pop.csv").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["sample", "--model", "kingman", "--reps", "2"],
+    ["sample", "--model", "padic"],
+    ["spectrum", "--mode", "sample", "--theta", "1", "--reps", "2"],
+    ["spectrum", "--mode", "population", "--model", "cpp-critical-bd", "--theta", "1",
+     "--T", "5", "--reps", "2"]])
+def test_jobs_below_one_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, argv, jobs):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stream or a worker pool was started")
+
+    monkeypatch.setattr(cli, "RandomSource", refuse)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    assert main([*argv, "--seed", "1", "--jobs", jobs, "--out", str(tmp_path / "o.txt")]) == 2
+    assert capsys.readouterr().err == f"ultracomb: validation error: --jobs must be at least 1, got {jobs}\n"
+    assert not (tmp_path / "o.txt").exists()
+
+
 @pytest.mark.parametrize("eps", [["--eps", "0"], ["--eps", "-1"], ["--eps", "6", "--T", "5"]])
 def test_population_mode_rejects_bad_eps(tmp_path, capsys, eps):
     assert main(["spectrum", "--mode", "population", "--model", "cpp-brownian",
@@ -343,6 +378,22 @@ def test_shard_caps_workers_at_cpu_count():
     assert 1 <= len(shards) <= (os.cpu_count() or 1)
     assert [r for s in shards for r in s] == list(range(1_000_000))
     assert _shard(5, 0) == [range(0, 5)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize("reps", [0, 1, 7, 2 ** 53 + 1, 2 ** 63 - 1])
+def test_shards_tile_the_replicates_exactly(monkeypatch, reps, jobs):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    shards = _shard(reps, jobs)
+    assert len(shards) == min(reps, jobs)
+    assert all(s.step == 1 and s.stop > s.start for s in shards)
+    assert [s.start for s in shards[:1]] == [0] * bool(reps)
+    assert [s.stop for s in shards[-1:]] == [reps] * bool(reps)
+    assert all(a.stop == b.start for a, b in zip(shards, shards[1:]))
+    assert sum(s.stop - s.start for s in shards) == reps
+    # even cuts: shard lengths differ by at most one
+    sizes = {s.stop - s.start for s in shards}
+    assert max(sizes, default=0) - min(sizes, default=0) <= 1
 
 
 def test_cli_snapshot_tool_writes_every_command(tmp_path):

@@ -11,8 +11,7 @@ from scipy import integrate, special, stats
 from ultracomb import (ClonalSet, Comb, IntensityModel, MutationMeasure,
                        MutationSet, ORIGIN_BRANCH, RandomSource, ValidationError,
                        assign_alleles, clonal_laplace_exponent, clonal_set,
-                       mutation_clade, sample_cpp_fixed_width,
-                       scatter_mutations)
+                       sample_cpp_fixed_width, scatter_mutations)
 
 from conftest import random_comb
 
@@ -24,16 +23,17 @@ def lineage_walk_allele(comb, mutations, t):
     of it in decreasing position order, keeping atoms whose depth beats
     the running maximum, then take the shallowest."""
     idx = int(np.searchsorted(comb.positions, t, side="right"))
+    atoms = list(enumerate(zip(mutations.branch.tolist(), mutations.depth.tolist())))
     best, best_depth = None, math.inf
     running = 0.0
     for k in range(idx - 1, -1, -1):
-        for i, atom in enumerate(mutations.atoms):
-            if atom.branch == k and atom.depth >= running and atom.depth < best_depth:
-                best, best_depth = i, atom.depth
+        for i, (branch, depth) in atoms:
+            if branch == k and depth >= running and depth < best_depth:
+                best, best_depth = i, depth
         running = max(running, float(comb.heights[k]))
-    for i, atom in enumerate(mutations.atoms):
-        if atom.branch == ORIGIN_BRANCH and atom.depth >= running and atom.depth < best_depth:
-            best, best_depth = i, atom.depth
+    for i, (branch, depth) in atoms:
+        if branch == ORIGIN_BRANCH and depth >= running and depth < best_depth:
+            best, best_depth = i, depth
     return best
 
 
@@ -67,7 +67,7 @@ def test_scatter_depths_uniform_on_branch():
     depths = []
     for i in range(3000):
         ms = scatter_mutations(comb, MutationMeasure.homogeneous(1.0), False, rng.spawn(i))
-        depths.extend(a.depth for a in ms)
+        depths.extend(ms.depth.tolist())
     assert stats.kstest(np.asarray(depths) / 2.0, "uniform").pvalue > 0.01
 
 
@@ -75,9 +75,9 @@ def test_scatter_origin_flag():
     comb = Comb(1.0, 50.0, [(0.5, 0.01)])
     rng = RandomSource(4)
     with_origin = scatter_mutations(comb, MutationMeasure.homogeneous(1.0), True, rng)
-    assert any(a.branch == ORIGIN_BRANCH for a in with_origin)
+    assert np.any(with_origin.branch == ORIGIN_BRANCH)
     without = scatter_mutations(comb, MutationMeasure.homogeneous(1.0), False, rng)
-    assert all(a.branch != ORIGIN_BRANCH for a in without)
+    assert np.all(without.branch != ORIGIN_BRANCH)
 
 
 def test_scatter_rejects_infinite_origin_mass():
@@ -132,16 +132,16 @@ def test_scatter_on_toothless_comb_rains_on_origin_only():
 
 def test_mutation_set_rejects_duplicates_and_bad_atoms():
     with pytest.raises(ValidationError):
-        MutationSet([(0, 0.5), (0, 0.5)])
-    ms = MutationSet([(0, 3.5)])
+        MutationSet([0, 0], [0.5, 0.5])
+    ms = MutationSet([0], [3.5])
     with pytest.raises(ValidationError):
         ms.validate_for(EXAMPLE)  # depth above the branch height
     with pytest.raises(ValidationError):
-        MutationSet([(7, 0.5)]).validate_for(EXAMPLE)
+        MutationSet([7], [0.5]).validate_for(EXAMPLE)
 
 
 def test_mutation_json_round_trip():
-    ms = MutationSet([(ORIGIN_BRANCH, 3.5), (0, 1.25), (2, 0.5)])
+    ms = MutationSet([ORIGIN_BRANCH, 0, 2], [3.5, 1.25, 0.5])
     assert MutationSet.from_list(json.loads(json.dumps(ms.to_list()))) == ms
     assert ms.to_list()[0]["branch"] == "origin"
 
@@ -149,15 +149,20 @@ def test_mutation_json_round_trip():
 # ----------------------------------------------------------------------
 # clades
 
+def clade(comb, branch, depth):
+    """The carrier interval [start, end) of one atom."""
+    start, end = MutationSet([branch], [depth]).clade_bounds(comb)
+    return start.item(), end.item()
+
+
 def test_clade_spec_example():
-    clade = mutation_clade(EXAMPLE, (1, 0.7))
-    assert (clade.start, clade.end) == (0.5, 0.8)
-    assert clade.measure == pytest.approx(0.3)
+    start, end = clade(EXAMPLE, 1, 0.7)
+    assert (start, end) == (0.5, 0.8)
+    assert end - start == pytest.approx(0.3)
 
 
 def test_origin_clade_above_all_teeth_is_everything():
-    clade = mutation_clade(EXAMPLE, (ORIGIN_BRANCH, 3.5))
-    assert (clade.start, clade.end) == (0.0, 1.0)
+    assert clade(EXAMPLE, ORIGIN_BRANCH, 3.5) == (0.0, 1.0)
 
 
 def test_clades_are_laminar():
@@ -166,7 +171,8 @@ def test_clades_are_laminar():
     for i in range(200):
         c = random_comb(gen, min_teeth=1, max_teeth=10)
         ms = scatter_mutations(c, MutationMeasure.homogeneous(2.0), True, rng.spawn(i))
-        spans = [(_c.start, _c.end) for _c in (mutation_clade(c, a) for a in ms)]
+        start, end = ms.clade_bounds(c)
+        spans = list(zip(start.tolist(), end.tolist()))
         for (s1, e1), (s2, e2) in itertools.combinations(spans, 2):
             disjoint = e1 <= s2 or e2 <= s1
             nested = (s1 <= s2 and e2 <= e1) or (s2 <= s1 and e1 <= e2)
@@ -177,12 +183,12 @@ def test_clades_are_laminar():
 # allelic assignment
 
 def test_assign_no_mutations_single_clonal_block():
-    part, labels = assign_alleles(EXAMPLE, MutationSet([]), [0.1, 0.4, 0.9])
+    part, labels = assign_alleles(EXAMPLE, MutationSet([], []), [0.1, 0.4, 0.9])
     assert len(part.blocks) == 1 and labels == [None, None, None]
 
 
 def test_assign_single_origin_mutation_single_block():
-    part, labels = assign_alleles(EXAMPLE, MutationSet([(ORIGIN_BRANCH, 3.5)]),
+    part, labels = assign_alleles(EXAMPLE, MutationSet([ORIGIN_BRANCH], [3.5]),
                                   [0.1, 0.4, 0.9])
     assert len(part.blocks) == 1 and labels == [0, 0, 0]
 
@@ -190,15 +196,15 @@ def test_assign_single_origin_mutation_single_block():
 def test_assign_nested_clades():
     # outer mutation on the origin above all teeth, inner on the middle
     # tooth: inner positions take the inner allele, the annulus the outer
-    ms = MutationSet([(ORIGIN_BRANCH, 3.5), (1, 0.7)])
+    ms = MutationSet([ORIGIN_BRANCH, 1], [3.5, 0.7])
     _, labels = assign_alleles(EXAMPLE, ms, [0.1, 0.6, 0.9])
-    inner = ms.atoms.index((1, 0.7))
+    inner = list(zip(ms.branch.tolist(), ms.depth.tolist())).index((1, 0.7))
     outer = 1 - inner
     assert labels == [outer, inner, outer]
 
 
 def test_assign_rejects_positions_outside_the_interval():
-    ms = MutationSet([(1, 0.7)])
+    ms = MutationSet([1], [0.7])
     for pts in ([0.1, float("nan")], [float("nan")], [-0.1, 0.5], [1.5]):
         with pytest.raises(ValidationError, match="outside"):
             assign_alleles(EXAMPLE, ms, pts)
@@ -232,8 +238,8 @@ def test_assign_blocks_partition_sample():
 # clonal sets
 
 def test_clonal_set_trivial_cases():
-    assert clonal_set(EXAMPLE, MutationSet([])).intervals == ((0.0, 1.0),)
-    cs = clonal_set(EXAMPLE, MutationSet([(1, 0.7)]))
+    assert clonal_set(EXAMPLE, MutationSet([], [])).intervals == ((0.0, 1.0),)
+    cs = clonal_set(EXAMPLE, MutationSet([1], [0.7]))
     assert cs.intervals == ((0.0, 0.5), (0.8, 1.0))
     assert cs.total_measure == pytest.approx(0.7)
     assert cs.contains(0.3) and not cs.contains(0.6)
@@ -272,8 +278,7 @@ def test_adding_mutation_never_grows_clonal_set():
         ms = scatter_mutations(c, MutationMeasure.homogeneous(1.0), True, rng.spawn(i))
         if not len(ms):
             continue
-        atoms = list(ms.atoms)
-        smaller = MutationSet(atoms[:-1])
+        smaller = MutationSet(ms.branch[:-1], ms.depth[:-1])
         bigger_cs = clonal_set(c, ms)
         smaller_cs = clonal_set(c, smaller)
         # every interval of the bigger set lies inside the smaller set

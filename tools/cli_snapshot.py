@@ -59,8 +59,13 @@ COMMANDS = {
                                     "--seed", "5", "--reps", "2"],
     "mutate.json": ["mutate", "--in", "sample-kingman.json", "--index", "1",
                     "--theta", "1", "--include-origin", "--seed", "4"],
+    # no origin atoms: the rain that the clonal-window criterion uses
+    "mutate-no-origin.json": ["mutate", "--in", "sample-kingman.json", "--index", "1",
+                              "--theta", "1", "--seed", "5"],
     "spectrum-sample.csv": ["spectrum", "--mode", "sample", "--n", "5", "--theta", "1",
                             "--reps", "200", "--seed", "7"],
+    "spectrum-sample-jobs2.csv": ["spectrum", "--mode", "sample", "--n", "5", "--theta", "1",
+                                  "--reps", "200", "--seed", "7", "--jobs", "2"],
     "spectrum-population.csv": ["spectrum", "--mode", "population",
                                 "--model", "cpp-critical-bd", "--theta", "1",
                                 "--T", "20", "--q", "1", "--q", "2", "--reps", "20",
