@@ -89,7 +89,11 @@ def _load_model_spec(path: str | None) -> dict:
         birth = raw["birth_rate"]
         if isinstance(birth, dict):
             grid = np.asarray(raw["birth_rate"]["grid"], dtype=float)
+            if grid.ndim != 2 or grid.shape[1] != 2 or not grid.size:
+                raise ValueError(f"birth-rate grid must have shape (k, 2), k >= 1, not {grid.shape}")
             ts, bs = grid[:, 0], grid[:, 1]
+            if not (np.all(np.isfinite(ts)) and np.all(np.diff(ts) > 0.0)):
+                raise ValueError("birth-rate grid times must be finite and strictly increasing")
             rate = lambda t: float(np.interp(t, ts, bs))  # noqa: E731
         else:
             rate = float(birth)

@@ -107,38 +107,24 @@ class _RangeMax:
 
 
 class Comb:
-    """An immutable comb: sorted teeth on ``[0, interval_length]``.
+    """An immutable comb: teeth on ``[0, interval_length]``, given as
+    parallel position and height sequences in any order.
 
-    Teeth positions are strictly increasing and strictly inside the
-    interval; heights are positive and strictly below ``origin_height``.
-    Heights may tie (ball partitions use <= consistently), positions may
-    not.  Instances are safe to share across workers; treat the arrays
-    as read-only.  ``next_taller`` queries go through one read-only
-    index, built on the first such query and never changed after.
+    Positions are stably sorted unless strictly increasing already, in
+    which case float64 arrays are kept uncopied and made read-only.
+    They must be distinct and strictly inside the interval; heights are
+    positive and strictly below ``origin_height``, and may tie (ball
+    partitions use <= consistently).  A comb holds no cache, so
+    instances are safe to share across workers.
     """
 
-    __slots__ = ("interval_length", "origin_height", "positions", "heights", "_index")
+    __slots__ = ("interval_length", "origin_height", "positions", "heights")
 
     def __init__(self, interval_length: float, origin_height: float,
-                 teeth: Sequence[tuple[float, float]] = ()):
-        teeth = list(teeth)
-        positions = np.array([t[0] for t in teeth], dtype=float)
-        heights = np.array([t[1] for t in teeth], dtype=float)
-        order = np.argsort(positions, kind="stable")
-        self._init_from_arrays(float(interval_length), float(origin_height),
-                               positions[order], heights[order])
-
-    @classmethod
-    def from_arrays(cls, interval_length: float, origin_height: float,
-                    positions: np.ndarray, heights: np.ndarray) -> "Comb":
-        """Fast path for samplers: arrays must already be sorted by position."""
-        comb = cls.__new__(cls)
-        comb._init_from_arrays(float(interval_length), float(origin_height),
-                               np.asarray(positions, dtype=float),
-                               np.asarray(heights, dtype=float))
-        return comb
-
-    def _init_from_arrays(self, interval_length, origin_height, positions, heights):
+                 positions: Sequence[float] = (), heights: Sequence[float] = ()):
+        interval_length, origin_height = float(interval_length), float(origin_height)
+        positions = np.asarray(positions, dtype=float)
+        heights = np.asarray(heights, dtype=float)
         if not (math.isfinite(interval_length) and interval_length > 0):
             raise ValidationError(f"interval_length must be positive, got {interval_length}")
         if not (math.isfinite(origin_height) and origin_height > 0):
@@ -146,9 +132,16 @@ class Comb:
         if positions.shape != heights.shape or positions.ndim != 1:
             raise ValidationError("positions and heights must be 1-d arrays of equal length")
         if positions.size:
+            # one pass on sorted input; unsorted, tied or NaN positions sort
+            # (NaN last, where the interval check rejects it) and are re-read
+            increasing = bool(np.all(np.diff(positions) > 0.0))
+            if not increasing:
+                order = np.argsort(positions, kind="stable")
+                positions, heights = positions[order], heights[order]
+                increasing = bool(np.all(np.diff(positions) > 0.0))
             if not (positions[0] > 0.0 and positions[-1] < interval_length):
                 raise ValidationError("tooth positions must lie strictly inside the interval")
-            if np.any(np.diff(positions) <= 0.0):
+            if not increasing:
                 raise ValidationError("tooth positions must be strictly increasing (no duplicates)")
             if not np.all(heights > 0.0):
                 raise ValidationError("tooth heights must be strictly positive")
@@ -160,21 +153,15 @@ class Comb:
         self.origin_height = origin_height
         self.positions = positions
         self.heights = heights
-        self._index = None
 
-    def _range_index(self) -> _RangeMax:
-        index = self._index
-        if index is None:
-            index = self._index = _RangeMax(self.heights)
-        return index
+    @classmethod
+    def from_arrays(cls, interval_length, origin_height, positions, heights) -> "Comb":
+        """``Comb(...)`` itself; kept because ``perfbench/`` calls and traces it."""
+        return cls(interval_length, origin_height, positions, heights)
 
     @property
     def n_teeth(self) -> int:
         return int(self.positions.size)
-
-    @property
-    def teeth(self) -> list[tuple[float, float]]:
-        return list(zip(self.positions.tolist(), self.heights.tolist()))
 
     def max_height_between(self, lo: int, hi: int) -> float:
         """Max tooth height over index slice [lo, hi), clipped to the
@@ -184,8 +171,9 @@ class Comb:
 
     def next_taller_batch(self, starts, levels) -> np.ndarray:
         """For each (start, level): the first tooth index >= start whose
-        height is > level, or n_teeth if there is none."""
-        return self._range_index().next_above(starts, levels)
+        height is > level, or n_teeth if there is none, through a
+        range-max index built per call: batch a comb's queries."""
+        return _RangeMax(self.heights).next_above(starts, levels)
 
     def next_taller(self, start: int, level: float) -> int:
         """First tooth index >= start with height > level (n_teeth if none)."""
@@ -200,15 +188,17 @@ class Comb:
         return {
             "interval_length": self.interval_length,
             "origin_height": self.origin_height,
-            "teeth": [{"pos": p, "h": h} for p, h in self.teeth],
+            "teeth": [{"pos": p, "h": h}
+                      for p, h in zip(self.positions.tolist(), self.heights.tolist())],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Comb":
         """The comb of a :meth:`to_dict` document (ValidationError if malformed)."""
         with _malformed("comb document"):
-            teeth = [(t["pos"], t["h"]) for t in data["teeth"]]
-            return cls(data["interval_length"], data["origin_height"], teeth)
+            teeth = data["teeth"]
+            return cls(data["interval_length"], data["origin_height"],
+                       [t["pos"] for t in teeth], [t["h"] for t in teeth])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Comb):
@@ -511,7 +501,7 @@ def comb_from_ultrametric(matrix, masses: Sequence[float] | None = None
     heights = d[order[:-1], order[1:]] / 2.0
     diam = float(d.max())
     origin = diam if diam > 0.0 else 1.0
-    comb = Comb.from_arrays(float(ends[-1]), origin, ends[:-1], heights)
+    comb = Comb(float(ends[-1]), origin, ends[:-1], heights)
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
     return comb, list(zip(starts[rank].tolist(), ends[rank].tolist()))

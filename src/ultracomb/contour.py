@@ -173,5 +173,4 @@ def _sphere_comb(depths, bottoms, level: float) -> Comb:
                               f"{level - float(teeth.max()):g}, at the root: the sphere "
                               "is a forest, not a comb")
     n_visits = teeth.size + 1
-    return Comb.from_arrays(float(n_visits), level,
-                            np.arange(1, n_visits, dtype=float), teeth)
+    return Comb(float(n_visits), level, np.arange(1, n_visits, dtype=float), teeth)

@@ -420,7 +420,7 @@ def time_change_comb(comb: Comb, change: TimeChange) -> Comb:
             raise ValidationError("time change must keep depths positive")
     if comb.n_teeth and not np.all(new_heights < new_origin):
         raise ValidationError("time change is not monotone increasing up to the origin height")
-    return Comb.from_arrays(comb.interval_length, new_origin, comb.positions.copy(), new_heights)
+    return Comb(comb.interval_length, new_origin, comb.positions, new_heights)
 
 
 class PushforwardMeasure:

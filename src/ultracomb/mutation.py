@@ -161,10 +161,18 @@ class MutationSet:
     def from_list(cls, data: Sequence[dict]) -> "MutationSet":
         """The set of a :meth:`to_list` document (ValidationError if malformed)."""
         with _malformed("mutation document"):
-            branch = [ORIGIN_BRANCH if item["branch"] == "origin" else int(item["branch"])
-                      for item in data]
+            branch = [_branch_index(item["branch"]) for item in data]
             depth = [float(item["depth"]) for item in data]
         return cls(branch, depth)
+
+
+def _branch_index(value) -> int:
+    """A document's branch: "origin" or an int (not a bool) in int64 range."""
+    if value == "origin":
+        return ORIGIN_BRANCH
+    if type(value) is not int or not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(f"branch {value!r} is neither 'origin' nor an int64 tooth index")
+    return value
 
 
 def scatter_mutations(comb: Comb, measure: MutationMeasure, include_origin: bool,

@@ -38,19 +38,21 @@ _SPLITTING_RETRIES = 10_000
 
 @dataclass(frozen=True)
 class CppSample:
-    """A killed coalescent point process: the comb, its width, and the
-    height of the killing atom (> the comb height; inf when the model's
-    tail is unknown past the horizon)."""
+    """A killed coalescent point process: the comb and the height of the
+    killing atom (> the comb height; inf when the model's tail is
+    unknown past the horizon)."""
 
     comb: Comb
-    width: float
     killing_height: float
 
     def __post_init__(self):
-        if self.width != self.comb.interval_length:
-            raise ValidationError("width must equal the comb interval length")
         if not self.killing_height > self.comb.origin_height:
             raise ValidationError("killing height must exceed the comb height")
+
+    @property
+    def width(self) -> float:
+        """The killed width: the comb's interval length."""
+        return self.comb.interval_length
 
 
 def _distinct_uniforms(gen, n: int, width: float) -> np.ndarray:
@@ -89,8 +91,7 @@ def sample_kingman_comb(n_teeth: int, rng: RandomSource) -> Comb:
             break
     else:
         raise ResourceError("could not draw distinct tooth positions")
-    return Comb.from_arrays(1.0, float(heights_by_rank[0]) + 1.0,
-                            positions, heights_by_rank[order])
+    return Comb(1.0, float(heights_by_rank[0]) + 1.0, positions, heights_by_rank[order])
 
 
 def _tail_heights(model: IntensityModel, gen, count: int, nu_lo: float,
@@ -135,7 +136,7 @@ def _killed_comb(model: IntensityModel, horizon: float, eps: float, gen
     count = int(gen.poisson(width * (nu_eps - nu_top)))
     heights = _tail_heights(model, gen, count, nu_top, nu_eps, horizon)
     positions = _distinct_uniforms(gen, count, width)
-    return Comb.from_arrays(width, horizon, positions, heights), nu_top
+    return Comb(width, horizon, positions, heights), nu_top
 
 
 def sample_cpp(model: IntensityModel, horizon: float, eps: float,
@@ -158,7 +159,7 @@ def sample_cpp(model: IntensityModel, horizon: float, eps: float,
             v = gen.random()
         killing = float(model.tail_inverse(v * nu_top))
         killing = max(killing, float(np.nextafter(horizon, math.inf)))
-    return CppSample(comb=comb, width=comb.interval_length, killing_height=killing)
+    return CppSample(comb=comb, killing_height=killing)
 
 
 def sample_cpp_fixed_width(model: IntensityModel, width: float, eps: float,
@@ -187,7 +188,7 @@ def sample_cpp_fixed_width(model: IntensityModel, width: float, eps: float,
     heights = _tail_heights(model, gen, count, nu_top, nu_eps, top)
     positions = _distinct_uniforms(gen, count, width)
     origin = float(heights.max()) + 1.0 if count else 1.0
-    return Comb.from_arrays(width, origin, positions, heights)
+    return Comb(width, origin, positions, heights)
 
 
 def padic_comb(p: int, depth: int) -> Comb:
@@ -214,10 +215,7 @@ def padic_comb(p: int, depth: int) -> Comb:
         ks = ks[ks % p != 0]
         positions.append(ks / float(denom))
         heights.append(np.full(ks.size, 0.5 / denom))
-    pos = np.concatenate(positions)
-    hts = np.concatenate(heights)
-    order = np.argsort(pos, kind="stable")
-    return Comb.from_arrays(1.0, 1.0, pos[order], hts[order])
+    return Comb(1.0, 1.0, np.concatenate(positions), np.concatenate(heights))
 
 
 def sample_splitting_tree(birth_rate: float, lifetime: Lifetime, horizon: float,
@@ -309,13 +307,13 @@ def rescale_comb(comb: Comb, eps: float) -> Comb:
         raise ValidationError("eps must be in (0, 1]")
     keep = comb.positions < eps
     new_interval = min(comb.interval_length, eps) / eps
-    return Comb.from_arrays(new_interval, comb.origin_height / eps,
-                            comb.positions[keep] / eps, comb.heights[keep] / eps)
+    return Comb(new_interval, comb.origin_height / eps,
+                comb.positions[keep] / eps, comb.heights[keep] / eps)
 
 
 def unrescale_comb(comb: Comb, eps: float) -> Comb:
     """Inverse of :func:`rescale_comb` on the retained window."""
     if not 0.0 < eps <= 1.0:
         raise ValidationError("eps must be in (0, 1]")
-    return Comb.from_arrays(comb.interval_length * eps, comb.origin_height * eps,
-                            comb.positions * eps, comb.heights * eps)
+    return Comb(comb.interval_length * eps, comb.origin_height * eps,
+                comb.positions * eps, comb.heights * eps)

@@ -281,7 +281,7 @@ def _tail_spectrum_replicate(model_name: str, theta: float, horizon: float, eps:
         nu_top, nu_zero = model.tail(horizon), model.tail(0.0)
         n = int(gen.geometric(nu_top / nu_zero))
         heights = _tail_heights(model, gen, n - 1, nu_top, nu_zero, horizon)
-        comb = Comb.from_arrays(float(n), horizon, np.arange(1, n, dtype=float), heights)
+        comb = Comb(float(n), horizon, np.arange(1, n, dtype=float), heights)
     else:
         comb, _ = _killed_comb(IntensityModel.brownian(mass_scale=1.0), horizon, eps, gen)
     mutations = scatter_mutations(comb, MutationMeasure.homogeneous(theta), True, rng)

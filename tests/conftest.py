@@ -16,7 +16,7 @@ def random_comb(gen: np.random.Generator, max_teeth: int = 20,
             break
     heights = 0.05 + gen.random(n)
     top = float(heights.max()) if n else 1.0
-    return Comb.from_arrays(length, top + 0.5, pos, heights)
+    return Comb(length, top + 0.5, pos, heights)
 
 
 @pytest.fixture

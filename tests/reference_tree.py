@@ -223,7 +223,7 @@ def reference_reduce_population_tree(tree: Tree, horizon: float) -> Comb:
                 break
             depth = a[1]
         heights[k - 1] = horizon - depth
-    return Comb.from_arrays(float(n), horizon, np.arange(1, n, dtype=float), heights)
+    return Comb(float(n), horizon, np.arange(1, n, dtype=float), heights)
 
 
 def reference_sphere_comb(contour: ContourFunction, level: float) -> Comb:
@@ -245,5 +245,5 @@ def reference_sphere_comb(contour: ContourFunction, level: float) -> Comb:
         dip = min(dip, bottom)
     if n_visits == 0:
         raise EmptySphereError(f"the contour never reaches level {level}")
-    return Comb.from_arrays(float(n_visits), level, np.arange(1, n_visits, dtype=float),
-                            np.asarray(teeth_heights, dtype=float))
+    return Comb(float(n_visits), level, np.arange(1, n_visits, dtype=float),
+                np.asarray(teeth_heights, dtype=float))

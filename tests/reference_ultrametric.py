@@ -79,4 +79,4 @@ def reference_comb_from_ultrametric(matrix, masses=None):
     total = place(list(range(n)), 0.0, 1.0)
     diam = float(d.max())
     origin = diam if diam > 0.0 else 1.0
-    return Comb(total, origin, teeth), placements
+    return Comb(total, origin, [p for p, _ in teeth], [h for _, h in teeth]), placements

@@ -1,8 +1,10 @@
 """The exported surface: every name in a module's ``__all__`` resolves,
-importing the package stays light, and scalar parameters reject NaN and
-infinite values."""
+importing the package stays light, scalar parameters reject NaN and
+infinite values, and the names the benchmark in ``perfbench/`` traces
+or calls still exist."""
 
 import importlib
+import importlib.util
 import math
 import os
 import pkgutil
@@ -10,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ultracomb
@@ -55,3 +58,24 @@ NONFINITE_PARAMETERS = {
 def test_scalar_parameters_must_be_finite_and_in_range(entry, value):
     with pytest.raises(ultracomb.ValidationError):
         NONFINITE_PARAMETERS[entry](value)
+
+
+def test_benchmark_surface(monkeypatch):
+    # perfbench/spans.py looks every traced function and method up by name
+    # (a KeyError or AttributeError if one is gone); perfbench/smoke.py
+    # makes the calls below
+    script = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", script)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for layer in spans.LAYERS:  # the benchmark imports them all
+        importlib.import_module(f"ultracomb.{layer}")
+    assert spans.Recorder(ultracomb)._patches
+    uc = ultracomb
+    p, h = np.array([0.25, 0.5]), np.array([1.0, 2.0])
+    assert uc.Comb.from_arrays(1.0, 3.0, p, h) == uc.Comb(1.0, 3.0, p, h)
+    tree = uc.Tree(uc.TreeNode(0.0, children=[uc.TreeNode(1.0, "0"), uc.TreeNode(1.0, "1")]))
+    assert len(tree.nodes()) == 3
+    assert [leaf.label for leaf in tree.leaves()] == ["0", "1"]
+    assert uc.FrequencySpectrum.from_counts([1, 2]).counts == (1, 2)

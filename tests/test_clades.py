@@ -9,7 +9,7 @@ from ultracomb import (ORIGIN_BRANCH, Comb, MutationMeasure, MutationSet,
                        RandomSource, ValidationError, assign_alleles,
                        ball_partition, clonal_set, comb_distance,
                        population_spectrum, scatter_mutations)
-from ultracomb.comb import _BLOCK
+from ultracomb.comb import _BLOCK, _RangeMax
 
 from reference_clades import (reference_ball_partition, reference_clade,
                               reference_clonal_intervals, reference_comb_distance,
@@ -25,7 +25,7 @@ SIZES = sorted({0, 1, 2, 3, 4, 15, 16, 17, 24, 25, 26}
 def make_comb(gen, n: int, tied: bool) -> Comb:
     pos = np.sort(gen.choice(10 ** 8, n, replace=False) + 1) / 1e8
     heights = gen.integers(1, 5, n).astype(float) if tied else 0.01 + gen.random(n)
-    return Comb.from_arrays(1.0, 6.0, pos, heights)
+    return Comb(1.0, 6.0, pos, heights)
 
 
 def rich_mutations(gen, comb: Comb) -> MutationSet:
@@ -93,27 +93,25 @@ def test_index_on_a_large_comb():
 
 
 def test_queries_at_and_past_the_last_tooth():
-    c = Comb(1.0, 4.0, [(0.2, 3.0), (0.5, 1.0), (0.8, 2.0)])
+    c = Comb(1.0, 4.0, [0.2, 0.5, 0.8], [3.0, 1.0, 2.0])
     assert [c.next_taller(s, 0.5) for s in (2, 3, 4, 100)] == [2, 3, 3, 3]
     assert c.next_taller(0, 3.0) == 3  # ties are not taller
     assert c.max_height_between(1, 3) == 2.0
     assert c.max_height_between(3, 3) == 0.0
     assert c.max_height_between(2, 1) == 0.0
-    empty = Comb(1.0, 1.0, [])
+    empty = Comb(1.0, 1.0)
     assert empty.next_taller(0, 0.0) == 0
     assert [empty.max_height_between(0, hi) for hi in (0, 5)] == [0.0, 0.0]
 
 
-def test_index_is_built_once_and_read_only():
+def test_index_is_read_only_and_small():
     c = make_comb(np.random.default_rng(904), 500, False)
-    index = c._range_index()
-    c.next_taller(3, 0.5)
-    c.max_height_between(0, 400)
-    assert c._range_index() is index
+    index = _RangeMax(c.heights)
     assert index.heights is c.heights and not index.table.flags.writeable
+    # slotted: neither the comb nor its index can grow a cache
+    assert not hasattr(c, "__dict__") and not hasattr(index, "__dict__")
     # far below a float64 sparse table over every tooth
     assert index.table.nbytes < 0.05 * c.n_teeth * 8 * 9
-    assert not hasattr(c, "__dict__")
 
 
 @pytest.mark.parametrize("tied", [False, True])
@@ -178,7 +176,7 @@ def test_mutation_set_messages_name_the_first_bad_atom():
         MutationSet([3, 1, 3, 1], [0.5, 0.5, 0.5, 0.5])
     with pytest.raises(ValidationError, match=r"^branch and depth must be 1-d arrays"):
         MutationSet([0, 1], [0.5])
-    c = Comb(1.0, 4.0, [(0.2, 3.0), (0.5, 1.0), (0.8, 2.0)])
+    c = Comb(1.0, 4.0, [0.2, 0.5, 0.8], [3.0, 1.0, 2.0])
     with pytest.raises(ValidationError, match=r"^atom depth 1\.5 outside \(0, 1\.0\) on branch 1$"):
         MutationSet([1, 2, 7], [1.5, 2.5, 0.1]).validate_for(c)
     with pytest.raises(ValidationError, match=r"^atom branch -2 is not a tooth of the comb$"):
@@ -188,5 +186,5 @@ def test_mutation_set_messages_name_the_first_bad_atom():
     with pytest.raises(ValidationError, match=r"^atom depth 0\.0 outside"):
         MutationSet([0], [0.0]).validate_for(c)
     with pytest.raises(ValidationError, match=r"^atom branch 0 is not a tooth"):
-        MutationSet([0], [0.5]).validate_for(Comb(1.0, 1.0, []))
-    MutationSet([ORIGIN_BRANCH], [0.5]).validate_for(Comb(1.0, 1.0, []))
+        MutationSet([0], [0.5]).validate_for(Comb(1.0, 1.0))
+    MutationSet([ORIGIN_BRANCH], [0.5]).validate_for(Comb(1.0, 1.0))

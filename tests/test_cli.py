@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -322,6 +323,14 @@ def test_exit_codes(tmp_path, capsys):
         flag = "--model-spec" if what == "model spec" else "--in"
         assert main([*argv, flag, str(path), "--out", str(tmp_path / "o.txt")]) == 2, name
         assert f"malformed {what}" in capsys.readouterr().err, name
+    # a birth-rate grid is (time, rate) rows at finite, strictly increasing times
+    for grid in ([[1.0, 3.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 3.0]], [[0.0, 1.0], [math.nan, 3.0]],
+                 [[0.0, 1.0, 2.0]], []):
+        (tmp_path / "grid.json").write_text(json.dumps({**spec, "birth_rate": {"grid": grid}}))
+        for argv in (["solve-w"], ["sample", "--model", "cpp-from-W", "--seed", "1"]):
+            assert main([*argv, "--model-spec", str(tmp_path / "grid.json"),
+                         "--out", str(tmp_path / "o.txt")]) == 2, (grid, argv)
+            assert "birth-rate grid" in capsys.readouterr().err, (grid, argv)
     # a grid model is known only up to its spec's T
     assert main(["sample", "--model", "cpp-from-W", "--model-spec", str(tmp_path / "spec.json"),
                  "--T", "3", "--seed", "1", "--reps", "2", "--out", str(tmp_path / "o.txt")]) == 2

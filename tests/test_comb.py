@@ -3,6 +3,7 @@ ultrametric-matrix round trips."""
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from reference_tree import (reference_comb_to_tree, reference_newick, reference_
                             reference_path_to)
 from reference_ultrametric import reference_comb_from_ultrametric, reference_validate
 
-EXAMPLE = Comb(1.0, 4.0, [(0.2, 3.0), (0.5, 1.0), (0.8, 2.0)])
+EXAMPLE = Comb(1.0, 4.0, [0.2, 0.5, 0.8], [3.0, 1.0, 2.0])
 
 
 # ----------------------------------------------------------------------
@@ -26,20 +27,55 @@ EXAMPLE = Comb(1.0, 4.0, [(0.2, 3.0), (0.5, 1.0), (0.8, 2.0)])
 
 def test_comb_validation():
     with pytest.raises(ValidationError):
-        Comb(1.0, 4.0, [(0.5, 1.0), (0.5, 2.0)])  # duplicate positions
+        Comb(1.0, 4.0, [0.5, 0.5], [1.0, 2.0])  # duplicate positions
     with pytest.raises(ValidationError):
-        Comb(1.0, 2.0, [(0.5, 2.0)])  # origin not above teeth
+        Comb(1.0, 2.0, [0.5], [2.0])  # origin not above teeth
     with pytest.raises(ValidationError):
-        Comb(1.0, 2.0, [(1.0, 1.0)])  # position on the boundary
+        Comb(1.0, 2.0, [1.0], [1.0])  # position on the boundary
     with pytest.raises(ValidationError):
-        Comb(1.0, 2.0, [(0.5, -1.0)])  # nonpositive height
+        Comb(1.0, 2.0, [0.5], [-1.0])  # nonpositive height
     with pytest.raises(ValidationError):
-        Comb(-1.0, 2.0, [])
+        Comb(-1.0, 2.0)
 
 
 def test_comb_sorts_teeth():
-    c = Comb(1.0, 4.0, [(0.8, 2.0), (0.2, 3.0)])
-    assert c.teeth == [(0.2, 3.0), (0.8, 2.0)]
+    c = Comb(1.0, 4.0, [0.8, 0.2], [2.0, 3.0])
+    assert c.positions.tolist() == [0.2, 0.8] and c.heights.tolist() == [3.0, 2.0]
+
+
+def test_constructor_matches_the_list_of_teeth_form():
+    """Teeth in any order are stored as the former list-of-(position,
+    height) form stored them: stably sorted by position."""
+    gen = np.random.default_rng(101)
+    for n in (2, 3, 17, 200):
+        pos = 0.01 + 0.98 * gen.random(n)
+        heights = 0.1 + gen.random(n)
+        order = np.argsort(pos, kind="stable")
+        c = Comb(1.0, 2.0, pos, heights)
+        assert np.array_equal(c.positions, pos[order])
+        assert np.array_equal(c.heights, heights[order])
+        assert c == Comb(1.0, 2.0, pos.tolist(), heights.tolist())
+
+
+@pytest.mark.parametrize("positions, message", [
+    ([0.5, 0.2, 0.5], "strictly increasing"),  # tied, unsorted
+    ([0.2, 0.5, 0.5], "strictly increasing"),  # tied, sorted
+    ([0.2, math.nan, 0.5], "strictly inside the interval"),  # NaN in the middle
+    ([math.nan, 0.2, 0.5], "strictly inside the interval"),
+    ([0.2, 0.5, math.nan], "strictly inside the interval"),
+])
+def test_constructor_rejects_tied_and_nan_positions(positions, message):
+    for build in (Comb, Comb.from_arrays):
+        with pytest.raises(ValidationError, match=message):
+            build(1.0, 4.0, np.array(positions), np.array([1.0, 2.0, 3.0]))
+
+
+def test_sorted_arrays_are_kept_uncopied_and_frozen():
+    p, h = np.array([0.2, 0.5, 0.8]), np.array([3.0, 1.0, 2.0])
+    c = Comb(1.0, 4.0, p, h)
+    assert c.positions is p and c.heights is h
+    assert not p.flags.writeable and not h.flags.writeable
+    assert Comb.from_arrays(1.0, 4.0, p, h) == c
 
 
 def test_json_round_trip_identity():
@@ -179,7 +215,7 @@ def test_ball_partition_refines_monotonically():
 def test_two_point_matrix():
     h = 0.7
     comb, placements = comb_from_ultrametric([[0.0, 2 * h], [2 * h, 0.0]])
-    assert comb.teeth == [(0.5, h)]
+    assert comb.positions.tolist() == [0.5] and comb.heights.tolist() == [h]
     assert placements == [(0.0, 0.5), (0.5, 1.0)]
 
 
@@ -191,7 +227,7 @@ def test_triadic_depth2_matrix():
         d[sl, sl] = 1.0 / 9.0
     np.fill_diagonal(d, 0.0)
     comb, placements = comb_from_ultrametric(d)
-    heights = sorted(h for _, h in comb.teeth)
+    heights = sorted(comb.heights.tolist())
     assert heights == [1 / 18] * 6 + [1 / 6] * 2
     widths = [e - s for s, e in placements]
     assert np.allclose(widths, 1 / 9)
@@ -402,13 +438,13 @@ def test_matrix_faults_keep_their_message_and_precedence(edits, message):
 # comb -> tree
 
 def test_tree_of_empty_comb():
-    t = comb_to_tree(Comb(2.0, 3.5, []))
+    t = comb_to_tree(Comb(2.0, 3.5))
     assert t.newick() == "(0:3.5);"
 
 
 def test_tree_caterpillar_distances():
     # teeth (1, 2): leaf pairs at distance 2 and 4, root at the origin height
-    c = Comb(1.0, 3.0, [(0.3, 1.0), (0.6, 2.0)])
+    c = Comb(1.0, 3.0, [0.3, 0.6], [1.0, 2.0])
     t = comb_to_tree(c)
     assert t.distance("0", "1") == pytest.approx(2.0)
     assert t.distance("0", "2") == pytest.approx(4.0)
@@ -441,7 +477,7 @@ def test_tree_distances_match_comb_and_newick():
 
 
 def test_tree_tied_heights_multifurcate():
-    c = Comb(1.0, 2.0, [(0.25, 1.0), (0.5, 1.0), (0.75, 1.0)])
+    c = Comb(1.0, 2.0, [0.25, 0.5, 0.75], [1.0, 1.0, 1.0])
     t = comb_to_tree(c)
     assert len(t.root.children[0].children) == 4
     for parent in t.nodes():
@@ -451,20 +487,18 @@ def test_tree_tied_heights_multifurcate():
 def test_tree_matches_recursive_reference():
     # tied heights, and distinct heights that round to equal depths T - h
     gen = np.random.default_rng(109)
-    combs = [Comb.from_arrays(4.0, 1e6, np.array([1.0, 2.0, 3.0]),
-                              np.array([1e-11, 2e-11, 1e-11]))]
+    combs = [Comb(4.0, 1e6, np.array([1.0, 2.0, 3.0]), np.array([1e-11, 2e-11, 1e-11]))]
     for _ in range(300):
         n = int(gen.integers(0, 40))
         levels = 0.05 + gen.random(max(1, n // 3 + 1))
-        combs.append(Comb.from_arrays(n + 1.0, 1.5, np.arange(1.0, n + 1.0),
-                                      gen.choice(levels, size=n)))
+        combs.append(Comb(n + 1.0, 1.5, np.arange(1.0, n + 1.0), gen.choice(levels, size=n)))
     for c in combs:
         assert comb_to_tree(c).newick(17) == reference_comb_to_tree(c).newick(17)
 
 
 def test_tree_of_deep_caterpillar_without_recursion():
     n = 5000
-    c = Comb.from_arrays(n + 1.0, n + 1.0, np.arange(1.0, n + 1.0), np.arange(n, 0.0, -1.0))
+    c = Comb(n + 1.0, n + 1.0, np.arange(1.0, n + 1.0), np.arange(n, 0.0, -1.0))
     t = comb_to_tree(c)
     assert t.leaf_labels() == [str(i) for i in range(n + 1)]
     assert all(d == n + 1.0 for d in t.leaf_depths())
@@ -477,7 +511,7 @@ def test_newick_export_and_parse_match_recursive_reference():
     for i in range(200):
         n = int(gen.integers(0, 30))
         heights = gen.choice(0.05 + gen.random(n // 2 + 1), size=n) if i % 2 else 0.05 + gen.random(n)
-        t = comb_to_tree(Comb.from_arrays(n + 1.0, 1.5, np.arange(1.0, n + 1.0), heights))
+        t = comb_to_tree(Comb(n + 1.0, 1.5, np.arange(1.0, n + 1.0), heights))
         for digits in (6, 12, 17):
             assert t.newick(digits) == reference_newick(t, digits)
         texts.append(t.newick(17))
@@ -506,7 +540,7 @@ def test_newick_parse_errors_match_recursive_reference():
 def test_deep_caterpillar_newick_round_trip():
     # 100,000 levels, far past the recursion limit
     n = 100_000
-    c = Comb.from_arrays(n + 1.0, n + 1.0, np.arange(1.0, n + 1.0), np.arange(n, 0.0, -1.0))
+    c = Comb(n + 1.0, n + 1.0, np.arange(1.0, n + 1.0), np.arange(n, 0.0, -1.0))
     text = comb_to_tree(c).newick()
     assert text.startswith(f"((0:{n},(1:{n - 1},") and text.count("(") == n + 1
     back = parse_newick(text)

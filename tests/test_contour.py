@@ -147,7 +147,7 @@ def test_sphere_comb_trough_depths():
     # three crossings of level 6 with troughs at 4 and 1: teeth (2, 5)
     h = ContourFunction.from_jumps([(0.0, 8.0), (4.0, 3.0), (10.0, 8.0)])
     comb = sphere_comb_from_contour(h, 6.0)
-    assert [t[1] for t in comb.teeth] == [2.0, 5.0]
+    assert comb.heights.tolist() == [2.0, 5.0]
     assert comb.origin_height == 6.0
     assert comb.interval_length == 3.0
 
@@ -157,7 +157,7 @@ def test_sphere_comb_tangency_counts_as_visit():
     h = ContourFunction((0.0, 2.0), (0.0, 2.0), (4.0, 3.0))
     comb = sphere_comb_from_contour(h, 3.0)
     assert comb.n_teeth == 1
-    assert comb.teeth[0][1] == 1.0
+    assert comb.heights[0] == 1.0
 
 
 def test_sphere_comb_merges_visits_without_dip():

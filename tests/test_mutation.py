@@ -15,7 +15,7 @@ from ultracomb import (ClonalSet, Comb, IntensityModel, MutationMeasure,
 
 from conftest import random_comb
 
-EXAMPLE = Comb(1.0, 4.0, [(0.2, 3.0), (0.5, 1.0), (0.8, 2.0)])
+EXAMPLE = Comb(1.0, 4.0, [0.2, 0.5, 0.8], [3.0, 1.0, 2.0])
 
 
 def lineage_walk_allele(comb, mutations, t):
@@ -53,7 +53,7 @@ def test_zero_rate_scatters_nothing():
 
 def test_scatter_mean_count():
     # Poisson masses add: heights (1,2,3) plus origin 4 give mean 10
-    comb = Comb(1.0, 4.0, [(0.25, 1.0), (0.5, 2.0), (0.75, 3.0)])
+    comb = Comb(1.0, 4.0, [0.25, 0.5, 0.75], [1.0, 2.0, 3.0])
     rng = RandomSource(2)
     total = sum(len(scatter_mutations(comb, MutationMeasure.homogeneous(1.0), True,
                                       rng.spawn(i))) for i in range(4000))
@@ -62,7 +62,7 @@ def test_scatter_mean_count():
 
 def test_scatter_depths_uniform_on_branch():
     # with the constant clock, depths on a height-2 branch are Uniform(0, 2)
-    comb = Comb(1.0, 3.0, [(0.5, 2.0)])
+    comb = Comb(1.0, 3.0, [0.5], [2.0])
     rng = RandomSource(3)
     depths = []
     for i in range(3000):
@@ -72,7 +72,7 @@ def test_scatter_depths_uniform_on_branch():
 
 
 def test_scatter_origin_flag():
-    comb = Comb(1.0, 50.0, [(0.5, 0.01)])
+    comb = Comb(1.0, 50.0, [0.5], [0.01])
     rng = RandomSource(4)
     with_origin = scatter_mutations(comb, MutationMeasure.homogeneous(1.0), True, rng)
     assert np.any(with_origin.branch == ORIGIN_BRANCH)
@@ -81,7 +81,7 @@ def test_scatter_origin_flag():
 
 
 def test_scatter_rejects_infinite_origin_mass():
-    comb = Comb(1.0, 2.0, [(0.5, 1.0)])
+    comb = Comb(1.0, 2.0, [0.5], [1.0])
     unbounded = MutationMeasure(
         lambda t: np.where(np.asarray(t) >= 2.0, np.inf, np.asarray(t, dtype=float)),
         lambda y: y)
@@ -95,7 +95,7 @@ def test_scatter_never_rains_on_zero_mass_branches():
     # no mass below depth 1: teeth of height <= 1, the last one too, carry nothing
     late = MutationMeasure(lambda t: np.maximum(np.asarray(t, dtype=float) - 1.0, 0.0),
                            lambda y: 1.0 + np.asarray(y, dtype=float))
-    comb = Comb(1.0, 4.0, [(0.1, 0.5), (0.3, 2.0), (0.5, 1.0), (0.7, 3.0), (0.9, 0.8)])
+    comb = Comb(1.0, 4.0, [0.1, 0.3, 0.5, 0.7, 0.9], [0.5, 2.0, 1.0, 3.0, 0.8])
     rng = RandomSource(21)
     branches = []
     for i in range(500):
@@ -107,7 +107,7 @@ def test_scatter_never_rains_on_zero_mass_branches():
 
 def test_scatter_splits_atoms_by_branch_mass():
     # masses: teeth 1, 2, 3 and origin 4, so atoms split 1:2:3:4
-    comb = Comb(1.0, 4.0, [(0.25, 1.0), (0.5, 2.0), (0.75, 3.0)])
+    comb = Comb(1.0, 4.0, [0.25, 0.5, 0.75], [1.0, 2.0, 3.0])
     rng = RandomSource(22)
     counts = np.zeros(4)
     for i in range(2000):
@@ -119,7 +119,7 @@ def test_scatter_splits_atoms_by_branch_mass():
 
 
 def test_scatter_on_toothless_comb_rains_on_origin_only():
-    comb = Comb(1.0, 2.0, [])
+    comb = Comb(1.0, 2.0)
     rng = RandomSource(23)
     sets = [scatter_mutations(comb, MutationMeasure.homogeneous(1.0), True, rng.spawn(i))
             for i in range(200)]
@@ -144,6 +144,14 @@ def test_mutation_json_round_trip():
     ms = MutationSet([ORIGIN_BRANCH, 0, 2], [3.5, 1.25, 0.5])
     assert MutationSet.from_list(json.loads(json.dumps(ms.to_list()))) == ms
     assert ms.to_list()[0]["branch"] == "origin"
+
+
+@pytest.mark.parametrize("branch", [2 ** 63, 1.7, True, "1"])
+def test_mutation_document_branch_must_be_an_int64_index(branch):
+    doc = json.loads(json.dumps([{"branch": branch, "depth": 0.5}]))
+    with pytest.raises(ValidationError, match="^malformed mutation document: branch"):
+        MutationSet.from_list(doc)
+    assert MutationSet.from_list([{"branch": 2 ** 63 - 1, "depth": 0.5}]).branch[0] == 2 ** 63 - 1
 
 
 # ----------------------------------------------------------------------

@@ -363,8 +363,7 @@ def test_reduce_deep_tree_without_recursion():
         node.children.append(TreeNode(depth=top))
     node.children.append(TreeNode(depth=top))
     comb = reduce_population_tree(Tree(root), 1.0)
-    want = Comb.from_arrays(levels + 1.0, 1.0, np.arange(1, levels + 1, dtype=float),
-                            1.0 - np.asarray(spine))
+    want = Comb(levels + 1.0, 1.0, np.arange(1, levels + 1, dtype=float), 1.0 - np.asarray(spine))
     assert comb == want
 
 

@@ -13,7 +13,7 @@ from ultracomb import (Comb, FrequencySpectrum, MutationSet, ORIGIN_BRANCH,
                        sample_esf_spectra, sample_kingman_allelic_partition,
                        spectrum_of_partition)
 
-EXAMPLE = Comb(1.0, 4.0, [(0.2, 3.0), (0.5, 1.0), (0.8, 2.0)])
+EXAMPLE = Comb(1.0, 4.0, [0.2, 0.5, 0.8], [3.0, 1.0, 2.0])
 
 
 # ----------------------------------------------------------------------
@@ -127,7 +127,7 @@ def test_population_spectrum_trivial():
 
 def test_population_spectrum_nested_pair():
     # outer clade [0, 0.8) and inner [0.5, 0.8): atoms at 0.5 and 0.3
-    comb = Comb(1.0, 4.0, [(0.5, 1.0), (0.8, 2.0)])
+    comb = Comb(1.0, 4.0, [0.5, 0.8], [1.0, 2.0])
     ms = MutationSet([ORIGIN_BRANCH, 0], [1.5, 0.7])
     spec = population_spectrum(comb, ms)
     assert spec.masses == pytest.approx((0.3, 0.5))
@@ -136,7 +136,7 @@ def test_population_spectrum_nested_pair():
 def test_population_spectrum_fully_overwritten_allele():
     # the deeper same-branch atom only keeps the annulus its shallower
     # twin does not reach; identical extents leave it carrierless
-    comb = Comb(1.0, 4.0, [(0.5, 1.0)])
+    comb = Comb(1.0, 4.0, [0.5], [1.0])
     ms = MutationSet([0, 0], [0.3, 0.6])
     spec = population_spectrum(comb, ms)
     assert spec.masses == (0.5,)
