@@ -26,7 +26,8 @@ import numpy as np
 from . import __version__
 from .comb import Comb
 from .contour import ContourFunction, sphere_comb_from_contour, tree_from_contour
-from .errors import NumericError, ResourceError, UltracombError, ValidationError, _malformed
+from .errors import (NumericError, ResourceError, UltracombError, ValidationError, _integer,
+                     _malformed)
 from .intensity import (IntensityModel, PopulationModel, parse_lifetime,
                         solve_scale_function)
 from .mutation import MutationMeasure, scatter_mutations
@@ -96,10 +97,17 @@ def _load_model_spec(path: str | None) -> dict:
                 raise ValueError("birth-rate grid times must be finite and strictly increasing")
             rate = lambda t: float(np.interp(t, ts, bs))  # noqa: E731
         else:
-            rate = float(birth)
+            rate = _number("birth_rate", birth)
         lifetime = parse_lifetime(raw.get("lifetime", "immortal"))
         model = PopulationModel(rate, lifetime)
-        return {"model": model, "T": float(raw["T"]), "steps": int(raw.get("steps", 10_000))}
+        return {"model": model, "T": _number("T", raw["T"]),
+                "steps": _integer("steps", raw.get("steps", 10_000))}
+
+
+def _number(what: str, value) -> float:
+    if type(value) not in (int, float):  # a JSON number: not a bool, string or null
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _require_seed(args) -> None:

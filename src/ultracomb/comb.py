@@ -233,57 +233,47 @@ class BoundaryPoint:
             raise ValidationError("the left face at position 0 is identified with the origin")
 
 
-@dataclass(frozen=True)
 class Partition:
-    """A partition of indices 0..n-1 into disjoint blocks.
+    """A partition of indices 0..n-1 coded by one label per index:
+    i and j share a block iff ``labels[i] == labels[j]`` (Kingman,
+    "Random partitions in population genetics", 1978).
 
-    Blocks are stored sorted by their smallest element, so equal
-    partitions compare equal.
+    ``labels`` is kept as given, as a read-only int64 array (int64 input
+    is not copied); only which indices share a label matters, so two
+    partitions are equal when their ``blocks`` are.
     """
 
-    blocks: tuple[frozenset[int], ...]
+    __slots__ = ("labels",)
 
-    def __post_init__(self):
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block:
-                raise ValidationError("partition blocks must be nonempty")
-            if seen & block:
-                raise ValidationError("partition blocks must be disjoint")
-            seen |= block
-        if seen and seen != set(range(len(seen))):
-            raise ValidationError("partition blocks must cover 0..n-1")
-        ordered = tuple(sorted(self.blocks, key=min))
-        object.__setattr__(self, "blocks", ordered)
-
-    @classmethod
-    def from_labels(cls, labels: Sequence) -> "Partition":
-        groups: dict = {}
-        for i, lab in enumerate(labels):
-            groups.setdefault(lab, []).append(i)
-        return cls(tuple(frozenset(g) for g in groups.values()))
+    def __init__(self, labels: Sequence[int]):
+        try:
+            labels = np.asarray(labels)
+        except ValueError as exc:  # a ragged nested sequence
+            raise ValidationError(f"partition labels must be a 1-d integer sequence: {exc}") from exc
+        if labels.ndim != 1 or not (labels.size == 0 or labels.dtype.kind in "iu"):
+            raise ValidationError(f"partition labels must be a 1-d integer sequence, "
+                                  f"got shape {labels.shape} of {labels.dtype}")
+        labels = labels.astype(np.int64, copy=False)
+        labels.flags.writeable = False
+        self.labels = labels
 
     @property
     def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return int(self.labels.size)
 
-    def block_of(self, i: int) -> frozenset[int]:
-        for block in self.blocks:
-            if i in block:
-                return block
-        raise ValidationError(f"index {i} not in partition")
+    @property
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        """The blocks as frozensets, sorted by their smallest index
+        (built on each access)."""
+        order = np.argsort(self.labels, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(self.labels[order])) + 1) if self.n else []
+        return tuple(frozenset(g.tolist()) for g in sorted(groups, key=lambda g: g[0]))
 
-    def refines(self, other: "Partition") -> bool:
-        """True if every block of self is contained in a block of other."""
-        lookup = {}
-        for j, block in enumerate(other.blocks):
-            for i in block:
-                lookup[i] = j
-        for block in self.blocks:
-            targets = {lookup.get(i) for i in block}
-            if len(targets) != 1 or None in targets:
-                return False
-        return True
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Partition) and self.blocks == other.blocks
+
+    def __repr__(self) -> str:
+        return f"Partition({self.labels.tolist()})"
 
 
 def _as_point(p) -> BoundaryPoint:
@@ -313,29 +303,20 @@ def comb_distance(comb: Comb, p, q) -> float:
 
 
 def ball_partition(comb: Comb, positions: Sequence[float], radius: float) -> Partition:
-    """Partition sample positions into balls of radius ``radius``.
-
-    Two positions fall in the same block iff their comb distance is
-    <= radius.  On a comb the blocks are contiguous in position order,
-    so the partition is cut at inter-sample gaps whose tallest tooth
-    exceeds radius/2.  An empty position list yields an empty partition.
-
-    Cost is O(n + s log s) for n teeth and s positions: one prefix count
-    of the teeth taller than radius/2, read at every sample.
+    """Partition sample positions into balls of radius ``radius``: two
+    share a block iff their comb distance is <= radius, that is iff no
+    tooth taller than radius/2 stands between them.  So each sample is
+    labelled with the number of such teeth to its left, one prefix count
+    read by one ``searchsorted``: O(n + s log n) for n teeth and s
+    positions, with no sort.
     """
     if not radius > 0.0:
         raise ValidationError("radius must be positive")
     pts = np.asarray(list(positions), dtype=float)
-    if pts.size == 0:
-        return Partition(())
     if not np.all((pts >= 0.0) & (pts <= comb.interval_length)):
         raise ValidationError("sample positions outside the comb interval")
-    order = np.argsort(pts, kind="stable")
-    cut = np.searchsorted(comb.positions, pts[order], side="right")
-    # tall teeth left of each sample; a rise between neighbours cuts them
-    tall_left = np.concatenate(([0], np.cumsum(~(2.0 * comb.heights <= radius))))[cut]
-    blocks = np.split(order, np.flatnonzero(tall_left[1:] > tall_left[:-1]) + 1)
-    return Partition(tuple(frozenset(b.tolist()) for b in blocks))
+    cut = np.searchsorted(comb.positions, pts, side="right")
+    return Partition(np.concatenate(([0], np.cumsum(~(2.0 * comb.heights <= radius))))[cut])
 
 
 def _checked_linkage(matrix) -> tuple[np.ndarray, np.ndarray | None]:

@@ -6,6 +6,8 @@ resource errors exit 3, I/O errors (plain OSError) exit 4.
 
 from contextlib import contextmanager
 
+import numpy as np
+
 
 class UltracombError(Exception):
     """Base class for all package-specific errors."""
@@ -38,3 +40,10 @@ def _malformed(what: str):
         raise
     except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
         raise ValidationError(f"malformed {what}: {exc}") from exc
+
+
+def _integer(what: str, value) -> int:
+    """``value`` as an int; a ValidationError unless it is a Python or numpy int, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)

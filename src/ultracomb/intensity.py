@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .comb import Comb
-from .errors import NumericError, ResourceError, ValidationError
+from .errors import NumericError, ResourceError, ValidationError, _integer
 
 __all__ = [
     "Immortal",
@@ -283,13 +283,14 @@ def solve_scale_function(model: PopulationModel, horizon: float, steps: int) -> 
     term entirely, which the pure-birth closed form confirms.  Immortal
     and exponential lifetimes solve all steps in one prefix-product scan
     (O(n log n) vectorised work), matching the step-by-step loop that
-    fixed and custom lifetimes use to about 1e-12 relative.
+    fixed and custom lifetimes use to about 1e-12 relative.  ``steps``
+    must be an integer of at least 16; a float or bool raises.
     """
-    if steps < 16:
+    n = _integer("steps", steps)
+    if n < 16:
         raise ValidationError("steps must be at least 16")
     if not 0 < horizon < math.inf:
         raise ValidationError("horizon must be positive and finite")
-    n = int(steps)
     if float(n + 1) >= 2.0 ** 63:  # np.linspace would count past int64 into an empty grid
         raise ResourceError(f"{n} steps need a grid larger than any array numpy can hold")
     dt = horizon / n

@@ -255,15 +255,16 @@ def assign_alleles(comb: Comb, mutations: MutationSet,
     infinitely-many-alleles rule.
 
     Each position gets the shallowest atom whose carrier interval
-    contains it; uncovered positions share the clonal (root) label,
-    reported as None.  Returns the partition and the per-position atom
-    index.
+    contains it; uncovered positions share the clonal (root) label.
+    Returns the partition, labelled by atom index with -1 for clonal
+    positions, and the per-position atom index as a list with None for
+    clonal positions.
     """
     pts = np.asarray(list(positions), dtype=float)
     if not np.all((pts >= 0.0) & (pts <= comb.interval_length)):
         raise ValidationError("sample positions outside the comb interval")
-    labels = [None if v < 0 else v for v in _allele_labels(comb, mutations, pts).tolist()]
-    return Partition.from_labels(labels), labels
+    labels = _allele_labels(comb, mutations, pts)
+    return Partition(labels), [None if v < 0 else v for v in labels.tolist()]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .comb import Comb
 from .contour import _sphere_comb
-from .errors import ResourceError, ValidationError
+from .errors import ResourceError, ValidationError, _integer
 from .intensity import IntensityModel, Lifetime
 from .rng import RandomSource
 from .tree import Tree, _tree_from_separators
@@ -201,6 +201,7 @@ def padic_comb(p: int, depth: int) -> Comb:
     sit at distance p^-n, and the two faces of a level-n point are
     p^-n apart.  The interval is [0, 1] and the origin height 1.
     """
+    p, depth = _integer("p", p), _integer("depth", depth)
     if p < 2:
         raise ValidationError("p must be at least 2")
     if depth < 1:

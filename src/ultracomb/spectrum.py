@@ -11,7 +11,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .comb import Comb, Partition
-from .errors import ValidationError
+from .errors import ValidationError, _integer
 from .intensity import IntensityModel
 from .mutation import (MutationMeasure, MutationSet, _clade_forest, assign_alleles,
                        scatter_mutations)
@@ -36,7 +36,8 @@ __all__ = [
 @dataclass(frozen=True)
 class FrequencySpectrum:
     """Either sample-mode counts A(k), k = 1..n, or the multiset of
-    carrier measures of a whole population's alleles."""
+    carrier measures of a whole population's alleles.  Counts are stored
+    as a tuple of ints; a float, bool or string count raises."""
 
     counts: tuple[int, ...] | None = None
     masses: tuple[float, ...] | None = None
@@ -45,6 +46,8 @@ class FrequencySpectrum:
         if (self.counts is None) == (self.masses is None):
             raise ValidationError("exactly one of counts and masses must be given")
         if self.counts is not None:
+            object.__setattr__(self, "counts", tuple(
+                c if type(c) is int else _integer("spectrum counts", c) for c in self.counts))
             if any(c < 0 for c in self.counts):
                 raise ValidationError("spectrum counts must be nonnegative")
         else:
@@ -54,7 +57,8 @@ class FrequencySpectrum:
 
     @classmethod
     def from_counts(cls, counts: Sequence[int]) -> "FrequencySpectrum":
-        return cls(counts=tuple(int(c) for c in counts))
+        """``FrequencySpectrum(counts=counts)``; kept because ``perfbench/`` calls it."""
+        return cls(counts=counts)
 
     @property
     def sample_size(self) -> int:
@@ -70,12 +74,10 @@ class FrequencySpectrum:
 
 
 def spectrum_of_partition(partition: Partition) -> FrequencySpectrum:
-    """Counts A(k) of blocks of each cardinality; sum of k A(k) is n."""
-    n = partition.n
-    counts = [0] * n
-    for block in partition.blocks:
-        counts[len(block) - 1] += 1
-    return FrequencySpectrum.from_counts(counts)
+    """Counts A(k) of blocks of each cardinality; sum of k A(k) is n.  Block
+    sizes are label multiplicities, so nothing is allocated by label value."""
+    _, sizes = np.unique(partition.labels, return_counts=True)
+    return FrequencySpectrum(counts=tuple(np.bincount(sizes, minlength=partition.n + 1)[1:].tolist()))
 
 
 def esf_probability(theta: float, counts: Sequence[int]) -> float:
@@ -83,17 +85,15 @@ def esf_probability(theta: float, counts: Sequence[int]) -> float:
     infinitely-many-alleles sampling formula.
 
     ``counts[k-1]`` is the number of alleles carried by exactly k of the
-    n sampled individuals; the counts must satisfy sum k a_k = n, and
-    theta must be positive and finite.
+    n sampled individuals; the counts must be nonnegative integers with
+    sum k a_k = n, and theta must be positive and finite.
     """
     if not 0 < theta < math.inf:
         raise ValidationError(f"theta must be positive and finite, got {theta}")
-    a = [int(c) for c in counts]
-    if any(c < 0 for c in a):
-        raise ValidationError("counts must be nonnegative")
+    a = FrequencySpectrum(counts=counts).counts  # nonnegative ints
     n = sum((k + 1) * c for k, c in enumerate(a))
     if n == 0 or n != len(a):
-        raise ValidationError(f"counts must satisfy sum k*a_k = n = len(counts); got {sum((k + 1) * c for k, c in enumerate(a))} vs {len(a)}")
+        raise ValidationError(f"counts must satisfy sum k*a_k = n = len(counts); got {n} vs {len(a)}")
     norm = math.factorial(n)
     for i in range(n):
         norm /= theta + i
@@ -194,9 +194,7 @@ def sample_kingman_allelic_partition(n: int, theta: float, rng: RandomSource,
     comb = sample_kingman_comb(n_teeth, rng)
     mutations = scatter_mutations(comb, MutationMeasure.homogeneous(theta / 2.0),
                                   include_origin=True, rng=rng)
-    positions = rng.gen.random(n)
-    partition, _ = assign_alleles(comb, mutations, positions)
-    return partition
+    return assign_alleles(comb, mutations, rng.gen.random(n))[0]
 
 
 def population_spectrum(comb: Comb, mutations: MutationSet) -> FrequencySpectrum:

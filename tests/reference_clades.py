@@ -119,20 +119,19 @@ def reference_clonal_intervals(comb: Comb, atoms) -> tuple[tuple[float, float], 
 
 
 def reference_ball_partition(comb: Comb, positions, radius: float) -> Partition:
+    """Label each position by its ball, counted in position order: a new
+    ball starts after every gap whose tallest tooth exceeds radius/2."""
     pts = np.asarray(list(positions), dtype=float)
-    if pts.size == 0:
-        return Partition(())
     order = np.argsort(pts, kind="stable")
-    sorted_pts = pts[order]
-    blocks: list[list[int]] = [[int(order[0])]]
-    for k in range(1, sorted_pts.size):
-        lo = int(np.searchsorted(comb.positions, sorted_pts[k - 1], side="right"))
-        hi = int(np.searchsorted(comb.positions, sorted_pts[k], side="right"))
-        if 2.0 * reference_max_height_between(comb, lo, hi) <= radius:
-            blocks[-1].append(int(order[k]))
-        else:
-            blocks.append([int(order[k])])
-    return Partition(tuple(frozenset(b) for b in blocks))
+    labels = [0] * pts.size
+    ball = 0
+    for k in range(1, pts.size):
+        lo = int(np.searchsorted(comb.positions, pts[order[k - 1]], side="right"))
+        hi = int(np.searchsorted(comb.positions, pts[order[k]], side="right"))
+        if 2.0 * reference_max_height_between(comb, lo, hi) > radius:
+            ball += 1
+        labels[order[k]] = ball
+    return Partition(labels)
 
 
 def reference_comb_distance(comb: Comb, p: float, q: float) -> float:

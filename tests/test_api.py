@@ -79,3 +79,15 @@ def test_benchmark_surface(monkeypatch):
     assert len(tree.nodes()) == 3
     assert [leaf.label for leaf in tree.leaves()] == ["0", "1"]
     assert uc.FrequencySpectrum.from_counts([1, 2]).counts == (1, 2)
+    # perfbench/workloads.py and the mutation.assign hook in perfbench/spans.py
+    # read these
+    part = uc.sample_kingman_allelic_partition(5, 1.0, uc.RandomSource(1), n_teeth=50)
+    assert part.n == 5 and sorted(i for b in part.blocks for i in b) == list(range(5))
+    counts = uc.spectrum_of_partition(part).counts
+    assert hash(counts) == hash(tuple(counts)) and all(type(c) is int for c in counts)
+    assert sum((k + 1) * c for k, c in enumerate(counts)) == 5
+    comb = uc.Comb(1.0, 3.0, p, h)
+    atom_ids = uc.assign_alleles(comb, uc.MutationSet(np.array([0]), np.array([0.5])),
+                                 [0.1, 0.3, 0.9])[1]
+    assert type(atom_ids) is list and atom_ids == [None, 0, None]  # None: clonal
+    assert len(uc.ball_partition(comb, [0.1, 0.3, 0.9], 3.0).blocks) == 2

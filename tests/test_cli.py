@@ -331,6 +331,16 @@ def test_exit_codes(tmp_path, capsys):
             assert main([*argv, "--model-spec", str(tmp_path / "grid.json"),
                          "--out", str(tmp_path / "o.txt")]) == 2, (grid, argv)
             assert "birth-rate grid" in capsys.readouterr().err, (grid, argv)
+    # T and a constant birth rate are numbers and steps an integer, never bools
+    for name, doc in (("steps", {**spec, "steps": 20.7}), ("steps", {**spec, "steps": 100.0}),
+                      ("steps", {**spec, "steps": True}), ("T", {**spec, "T": True}),
+                      ("birth_rate", {**spec, "birth_rate": True}),
+                      ("birth_rate", {**spec, "birth_rate": None})):
+        (tmp_path / "scalar.json").write_text(json.dumps(doc))
+        for argv in (["solve-w"], ["sample", "--model", "cpp-from-W", "--seed", "1"]):
+            assert main([*argv, "--model-spec", str(tmp_path / "scalar.json"),
+                         "--out", str(tmp_path / "o.txt")]) == 2, (doc, argv)
+            assert f"{name} must be" in capsys.readouterr().err, (doc, argv)
     # a grid model is known only up to its spec's T
     assert main(["sample", "--model", "cpp-from-W", "--model-spec", str(tmp_path / "spec.json"),
                  "--T", "3", "--seed", "1", "--reps", "2", "--out", str(tmp_path / "o.txt")]) == 2

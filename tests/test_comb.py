@@ -158,7 +158,30 @@ def test_ultrametric_inequality_exact():
 
 
 # ----------------------------------------------------------------------
-# ball partitions
+# partitions and ball partitions
+
+def test_partition_is_one_label_array():
+    part = Partition([5, 5, 2])
+    assert part == Partition([0, 0, 1]) == Partition(np.array([1, 1, 0], dtype=np.uint8))
+    assert part != Partition([0, 1, 1])
+    assert part.n == 3
+    # labels are kept as given, int64 and read-only
+    assert part.labels.dtype == np.int64 and part.labels.tolist() == [5, 5, 2]
+    with pytest.raises(ValueError):
+        part.labels[0] = 0
+    # blocks are sorted by their smallest index, whatever the label values
+    assert Partition([7, -1, 7, 3, -1]).blocks == (frozenset({0, 2}), frozenset({1, 4}),
+                                                   frozenset({3}))
+    empty = Partition([])
+    assert empty.n == 0 and empty.blocks == () and empty == Partition(np.zeros(0, dtype=int))
+
+
+def test_partition_rejects_non_integer_labels():
+    for bad in ([[0, 1], [1, 0]], [0.0, 1.0], [True, False], ["a", "b"], [[0], [1, 2]],
+                [None, 0], 3):
+        with pytest.raises(ValidationError, match="partition labels"):
+            Partition(bad)
+
 
 def test_ball_partition_spec_example():
     # brute-force oracle over pairwise max-over-interval distances agrees
@@ -196,7 +219,7 @@ def test_ball_partition_matches_pairwise_oracle():
         r = float(gen.random() * 2 * c.origin_height + 1e-9)
         part = ball_partition(c, pts, r)
         for i, j in itertools.combinations(range(len(pts)), 2):
-            same = part.block_of(i) is part.block_of(j)
+            same = part.labels[i] == part.labels[j]
             assert same == (comb_distance(c, pts[i], pts[j]) <= r)
 
 
@@ -206,7 +229,9 @@ def test_ball_partition_refines_monotonically():
         c = random_comb(gen, min_teeth=2)
         pts = gen.random(8) * c.interval_length
         r1, r2 = sorted(gen.random(2) * 2 * c.origin_height + 1e-9)
-        assert ball_partition(c, pts, r1).refines(ball_partition(c, pts, r2))
+        fine, coarse = ball_partition(c, pts, r1).labels, ball_partition(c, pts, r2).labels
+        # every pair sharing a finer block shares a coarser one
+        assert np.all((coarse[:, None] == coarse)[fine[:, None] == fine])
 
 
 # ----------------------------------------------------------------------

@@ -84,6 +84,11 @@ def test_solver_validation():
     for horizon in (math.nan, math.inf):
         with pytest.raises(ValidationError, match="finite"):
             solve_scale_function(PopulationModel.yule(1.0), horizon, 64)
+    # 16.5 used to run on a 17-point grid
+    for steps in (16.5, 64.0, True, "64"):
+        with pytest.raises(ValidationError, match="steps must be an integer"):
+            solve_scale_function(PopulationModel.yule(1.0), 1.0, steps)
+    assert solve_scale_function(PopulationModel.yule(1.0), 1.0, np.int64(64)).times.size == 65
 
 
 def test_birth_rate_checks():

@@ -206,6 +206,10 @@ def test_padic_tooth_count():
         padic_comb(1, 3)
     with pytest.raises(ValidationError):
         padic_comb(3, 60)
+    assert padic_comb(np.int64(3), np.int32(2)) == padic_comb(3, 2)
+    for p, depth in ((2.5, 2), (3.0, 2), (3, 2.0), (True, 2), (3, True), ("3", 2)):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            padic_comb(p, depth)
 
 
 def test_triadic_figure_distances():

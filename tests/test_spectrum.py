@@ -57,20 +57,35 @@ def test_partition_count_vectors():
 # spectra of partitions
 
 def test_spectrum_of_partition_counts():
-    singles = Partition.from_labels(list(range(4)))
+    singles = Partition(list(range(4)))
     assert spectrum_of_partition(singles).counts == (4, 0, 0, 0)
-    one = Partition.from_labels([0] * 5)
+    one = Partition([0] * 5)
     assert spectrum_of_partition(one).counts == (0, 0, 0, 0, 1)
-    mixed = Partition.from_labels([0, 0, 1, 2, 2, 2])
+    mixed = Partition([0, 0, 1, 2, 2, 2])
     spec = spectrum_of_partition(mixed)
     assert spec.counts == (1, 1, 1, 0, 0, 0)
     assert spec.sample_size == 6
 
 
-def test_one_block_of_each_size_up_to_five():
+def test_one_block_for_each_size_up_to_five():
     labels = [0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4]
-    spec = spectrum_of_partition(Partition.from_labels(labels))
+    spec = spectrum_of_partition(Partition(labels))
     assert spec.counts[:5] == (1, 1, 1, 1, 1)
+
+
+def test_counts_must_be_integers():
+    for bad in ([1.7], [1.0], [True], ["1"], [np.float64(1.0)]):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            esf_probability(1.0, bad)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            FrequencySpectrum.from_counts(bad)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            FrequencySpectrum(counts=tuple(bad))
+    # numpy integers pass and are stored as a tuple of ints
+    spec = FrequencySpectrum.from_counts(np.array([1, 1, 0]))
+    assert spec.counts == (1, 1, 0) and all(type(c) is int for c in spec.counts)
+    assert FrequencySpectrum(counts=[np.int32(2), 0]).counts == (2, 0)
+    assert esf_probability(1.0, np.array([1])) == 1.0
 
 
 def test_frequency_spectrum_validation():
