@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -126,6 +125,7 @@ def _run_sharded(worker, args) -> list:
     shards = _shard(args.reps, args.jobs)
     if len(shards) <= 1:
         return worker(args, range(args.reps))
+    from concurrent.futures import ProcessPoolExecutor  # late: multiprocessing slows imports
     with ProcessPoolExecutor(max_workers=len(shards)) as pool:
         return [out for part in pool.map(worker, [args] * len(shards), shards) for out in part]
 

@@ -319,9 +319,10 @@ def ball_partition(comb: Comb, positions: Sequence[float], radius: float) -> Par
     return Partition(np.concatenate(([0], np.cumsum(~(2.0 * comb.heights <= radius))))[cut])
 
 
-def _checked_linkage(matrix) -> tuple[np.ndarray, np.ndarray | None]:
-    """:func:`validate_ultrametric`, also returning the single-linkage
-    matrix of ``min(d, d.T)`` (None for one point).
+def _single_linkage(d: np.ndarray) -> np.ndarray:
+    """The checks of :func:`validate_ultrametric` off the exact tier, then
+    the single-linkage cophenetic matrix of ``min(d, d.T)``, an exact
+    ultrametric (n > 1 there: one point passes only on the exact tier).
 
     Every check but the diagonal's reads the two condensed triangles,
     ``d[i, j]`` and ``d[j, i]`` for i < j.  Symmetry is numpy's
@@ -330,13 +331,7 @@ def _checked_linkage(matrix) -> tuple[np.ndarray, np.ndarray | None]:
     distance of i and k is at most max(d[i,j], d[j,k]) for every j, so it
     implies every triple inequality.
     """
-    d = np.asarray(matrix, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValidationError("distance matrix must be square")
-    n = d.shape[0]
-    if n == 0:
-        raise ValidationError("distance matrix must contain at least one point")
-    # imported on first use, so the sampling paths do not pay for it
+    # imported on first use: exact ultrametrics and the samplers never need it
     from scipy.cluster.hierarchy import cophenet, linkage
     from scipy.spatial.distance import squareform
 
@@ -354,15 +349,13 @@ def _checked_linkage(matrix) -> tuple[np.ndarray, np.ndarray | None]:
         raise ValidationError("off-diagonal distances must be positive (points must be distinct)")
     if not np.all(np.isfinite(high)):
         raise ValidationError("off-diagonal distances must be finite")
-    tol = _ULTRAMETRIC_RTOL * float(high.max()) if n > 1 else 0.0
-    link = None
-    if n > 1:
-        link = linkage(low, method="single")
-        if np.all(high <= cophenet(link) + tol):
-            return d, link
+    tol = _ULTRAMETRIC_RTOL * float(high.max())
+    coph = cophenet(linkage(low, method="single"))
+    if np.all(high <= coph + tol):
+        return squareform(coph)
     # O(n^3) fallback, the only rejection path:
     # d[i, k] <= max(d[i, j], d[j, k]) for all j; chunk j to bound memory
-    for j in range(n):
+    for j in range(d.shape[0]):
         bound = np.maximum.outer(d[:, j], d[j, :])
         if np.any(d > bound + tol):
             i, k = np.unravel_index(int(np.argmax(d - bound)), d.shape)
@@ -370,7 +363,37 @@ def _checked_linkage(matrix) -> tuple[np.ndarray, np.ndarray | None]:
                 f"ultrametric inequality violated for triple ({i}, {j}, {k}): "
                 f"d={d[i, k]} > max({d[i, j]}, {d[j, k]})"
             )
-    return d, link
+    return squareform(coph)
+
+
+def _checked(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`validate_ultrametric`, also returning the nearest-earlier
+    hierarchy of the ultrametric u the comb is built on: ``r[j]``, the
+    distance from point j to its nearest earlier point, and ``a[j]``, the
+    first earlier point that close (``r[0] = a[0] = 0``).
+
+    Exact tier: u = d when d is exactly symmetric, with a zero diagonal,
+    positive finite entries off it and ``d[j, k] == max(r[j], d[a[j], k])``
+    for all k < j, that is (by induction on j) when d is the path-max
+    metric of the minimum spanning tree j -> a[j] (Gower and Ross, Appl.
+    Stat. 18, 1969): an ultrametric.  Else u is :func:`_single_linkage`'s.
+    """
+    d = np.asarray(matrix, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValidationError("distance matrix must be square")
+    n = d.shape[0]
+    if n == 0:
+        raise ValidationError("distance matrix must contain at least one point")
+    if np.array_equal(d, d.T) and not d.diagonal().any():  # a NaN is never equal
+        earlier = np.tri(n, k=-1, dtype=bool)
+        a = np.where(earlier, d, np.inf).argmin(axis=1)
+        r = d[np.arange(n), a]
+        if np.all(r[1:] > 0.0) and d.max() < math.inf:
+            fit = d[a]  # in place from here: fresh n x n arrays cost page faults
+            np.maximum(fit, r[:, None], out=fit)
+            if not ((fit != d) & earlier).any():
+                return d, r, a
+    return (d, *_checked(_single_linkage(d))[1:])
 
 
 def validate_ultrametric(matrix: np.ndarray) -> np.ndarray:
@@ -380,48 +403,47 @@ def validate_ultrametric(matrix: np.ndarray) -> np.ndarray:
     entries and the triple inequality d(i,k) <= max(d(i,j), d(j,k)) up
     to ``1e-9 * max(d)``, as in :func:`comb_from_ultrametric`.  Returns the float matrix.
 
-    Cost is O(n^2): a matrix within ``1e-9 * max(d)`` of the cophenetic
-    distances of its single-linkage hierarchy is accepted without a
-    triple scan.  Only a matrix failing that certificate is scanned
-    triple by triple (O(n^3)), which decides near-misses within the
-    tolerance and names the violating triple on rejection.
+    Cost is O(n^2).  An exact ultrametric passes a few numpy checks with
+    no scipy; any other matrix within ``1e-9 * max(d)`` of its
+    single-linkage cophenetic distances passes without a triple scan.
+    Only the rest are scanned triple by triple (O(n^3)), which decides
+    near-misses within the tolerance and names the violating triple.
     """
-    return _checked_linkage(matrix)[0]
+    return _checked(matrix)[0]
 
 
-def _ball_walk(link: np.ndarray | None, n: int) -> tuple[list[int], list[float]]:
-    """Points in comb order, with their visibility masses.
+def _ball_order(r: np.ndarray, a: np.ndarray) -> tuple[list[int], list[float]]:
+    """Points in comb order, with their visibility masses, from the
+    nearest-earlier hierarchy ``(r, a)`` of an ultrametric.
 
-    Single-linkage merges at exactly equal height collapse into one
-    multifurcating ball, whose children are ordered by their smallest
-    point index.  The walk keeps an explicit stack, so deep hierarchies
-    need no recursion.
+    The points j with a[j] = b and one r[j] head the later children of
+    one ball whose first child holds b, so the first of them divides its
+    visibility by their number + 1 (the others by 1, exactly), from the
+    largest r down.  A point precedes its groups, smallest r first, each
+    in index order.  An explicit stack spares deep hierarchies recursion.
     """
-    children: list[list[int]] = []
-    low = list(range(n))  # smallest point index of each cluster id
-    if link is not None:
-        heights = link[:, 2].tolist()
-        for k, (a, b) in enumerate(link[:, :2].astype(np.intp).tolist()):
-            kids: list[int] = []
-            for c in (a, b):
-                if c >= n and heights[c - n] == heights[k]:
-                    kids += children[c - n]
-                else:
-                    kids.append(c)
-            children.append(kids)
-            low.append(min(low[a], low[b]))
-    order: list[int] = []
-    visibility: list[float] = []
-    stack = [(len(low) - 1, 1.0)]
+    n = a.size
+    # by parent, largest r first, then by index downwards (the stack pops the smallest first)
+    kids = n - 1 - np.lexsort((-r[:0:-1], a[:0:-1]))
+    ak, rk = a[kids], r[kids]
+    head = np.ones(n - 1, dtype=bool)  # the first of each group
+    head[1:] = (ak[1:] != ak[:-1]) | (rk[1:] != rk[:-1])
+    div = np.ones(n)
+    div[kids[head]] = np.diff(np.r_[np.flatnonzero(head), n - 1]) + 1
+    first = np.searchsorted(ak, np.arange(n + 1)).tolist()
+    kids, div = kids.tolist(), div.tolist()
+    vis_in = [1.0] * n  # the visibility of the largest ball a point is the smallest of
+    order, visibility, stack = [], [], [0]
     while stack:
-        node, vis = stack.pop()
-        if node < n:
-            order.append(node)
-            visibility.append(vis)
-            continue
-        kids = sorted(children[node - n], key=low.__getitem__, reverse=True)
-        vis /= len(kids)
-        stack.extend((c, vis) for c in kids)
+        j = stack.pop()
+        order.append(j)
+        vis = vis_in[j]
+        children = kids[first[j]:first[j + 1]]
+        for c in children:
+            vis /= div[c]
+            vis_in[c] = vis
+        stack += children
+        visibility.append(vis)
     return order, visibility
 
 
@@ -436,15 +458,14 @@ def comb_from_ultrametric(matrix, masses: Sequence[float] | None = None
     total mass 1, split equally among sub-balls at each fragmentation
     (tie diameters fragment independently, i.e. in decreasing order).
 
-    Cost is O(n^2).  The balls come from the single-linkage hierarchy
-    that validation builds (see :func:`validate_ultrametric`); points are
-    laid out left to right with each ball's children ordered by their
-    smallest index, and the tooth between consecutive points p, q has
-    height d[p, q] / 2.  On an exact ultrametric this is the ball
-    construction described above, bit for bit.  A matrix accepted only
-    within the validation tolerance gets the balls of the single-linkage
-    hierarchy of ``min(d, d.T)``, merges at exactly equal height forming
-    one ball.
+    Cost is O(n^2).  One walk over the nearest-earlier hierarchy that
+    validation builds (see :func:`validate_ultrametric`) lays the points
+    out left to right, each ball's children by their smallest index; the
+    tooth between consecutive points p, q has height d[p, q] / 2.  On an
+    exact ultrametric this is the ball construction above, bit for bit.
+    A matrix accepted only within the validation tolerance gets the balls
+    of the single-linkage hierarchy of ``min(d, d.T)``, merges at exactly
+    equal height forming one ball.
 
     Returns ``(comb, placements)`` with ``placements[i] = (start, end)``.
     The comb's origin height is set to the diameter (twice the tallest
@@ -454,7 +475,7 @@ def comb_from_ultrametric(matrix, masses: Sequence[float] | None = None
     the interval; that raises a ValidationError asking for explicit
     masses.
     """
-    d, link = _checked_linkage(matrix)
+    d, r, a = _checked(matrix)
     n = d.shape[0]
     if masses is not None:
         m = np.asarray(list(masses), dtype=float)
@@ -465,7 +486,7 @@ def comb_from_ultrametric(matrix, masses: Sequence[float] | None = None
     else:
         m = None
 
-    order, visibility = _ball_walk(link, n)
+    order, visibility = _ball_order(r, a)
     widths = np.asarray(visibility) if m is None else m[order]
     ends = np.cumsum(widths)
     starts = np.concatenate(([0.0], ends[:-1]))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _integer
 
 __all__ = ["RandomSource"]
 
@@ -31,11 +31,10 @@ class RandomSource:
     __slots__ = ("seed", "replicate", "gen")
 
     def __init__(self, seed: int):
-        if not isinstance(seed, (int, np.integer)):
-            raise ValidationError(f"seed must be an integer, got {type(seed).__name__}")
+        seed = _integer("seed", seed)
         if not 0 <= seed < _SEED_MAX:
             raise ValidationError(f"seed must be in [0, 2^64), got {seed}")
-        self.seed = int(seed)
+        self.seed = seed
         self.replicate = None
         self.gen = np.random.Generator(np.random.Philox(key=self.seed))  # key [seed, 0]
 
@@ -47,7 +46,7 @@ class RandomSource:
         """
         if self.replicate is not None:
             raise ValidationError("a spawned source cannot spawn; spawn from its root")
-        index = int(index)
+        index = _integer("replicate index", index)
         if not 0 <= index < _SEED_MAX - 1:
             raise ValidationError(f"replicate index must be in [0, 2^64 - 1), got {index}")
         sub = RandomSource.__new__(RandomSource)

@@ -77,7 +77,7 @@ def sample_kingman_comb(n_teeth: int, rng: RandomSource) -> Comb:
     than about 2/n.  Positions are i.i.d. uniform on (0, 1) and the
     origin branch extends one unit above the tallest tooth.
     """
-    if n_teeth < 1:
+    if _integer("n_teeth", n_teeth) < 1:
         raise ValidationError("n_teeth must be at least 1")
     gen = rng.gen
     ks = np.arange(2, n_teeth + 2, dtype=float)

@@ -147,7 +147,7 @@ def sample_esf_spectra(theta: float, n: int, reps: int, rng: RandomSource) -> np
     Returns an int32 array of shape (reps, n); row r holds A(1)..A(n).
     theta must be positive and finite.
     """
-    if not 0 < theta < math.inf or n < 1 or reps < 1:
+    if not 0 < theta < math.inf or _integer("n", n) < 1 or _integer("reps", reps) < 1:
         raise ValidationError("need a finite theta > 0, n >= 1, reps >= 1")
     gen = rng.gen
     idx = np.arange(n, dtype=float)
@@ -189,7 +189,7 @@ def sample_kingman_allelic_partition(n: int, theta: float, rng: RandomSource,
     The comb is truncated to ``n_teeth`` teeth, which bounds the
     unresolved depth by roughly 2/n_teeth.
     """
-    if n < 1:
+    if _integer("n", n) < 1:
         raise ValidationError("n must be at least 1")
     comb = sample_kingman_comb(n_teeth, rng)
     mutations = scatter_mutations(comb, MutationMeasure.homogeneous(theta / 2.0),
@@ -232,7 +232,7 @@ def gem_ranked_oracle(theta: float, depth: int, reps: int, rng: RandomSource) ->
     exchangeable coalescent, used as the simulation oracle.  theta must
     be positive and finite.
     """
-    if not 0 < theta < math.inf or depth < 1 or reps < 1:
+    if not 0 < theta < math.inf or _integer("depth", depth) < 1 or _integer("reps", reps) < 1:
         raise ValidationError("need a finite theta > 0, depth >= 1, reps >= 1")
     z = rng.gen.beta(1.0, theta, size=(reps, depth))
     pieces = np.empty_like(z)

@@ -30,10 +30,12 @@ def test_all_names_resolve(name):
 
 def test_import_defers_slow_scipy_modules():
     # scipy.integrate and scipy.special cost most of the import time; only
-    # the clonal exponent and the Brownian spectrum target need them
+    # the clonal exponent and the Brownian spectrum target need them.  The
+    # CLI starts a process pool only for more than one shard, so importing
+    # it loads no multiprocessing either
     env = {**os.environ, "PYTHONPATH": str(Path(ultracomb.__file__).resolve().parents[1])}
-    code = ("import sys, ultracomb; "
-            "print([m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules])")
+    code = ("import sys, ultracomb, ultracomb.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"

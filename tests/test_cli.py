@@ -1,5 +1,6 @@
 """End-to-end command line behaviour: artifacts, determinism, exit codes."""
 
+import concurrent.futures
 import importlib.util
 import json
 import math
@@ -358,7 +359,7 @@ def test_population_mode_checks_before_starting_workers(tmp_path, capsys, monkey
         def __init__(self, *args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)  # so --jobs 2 would start a pool
     assert main(["spectrum", "--mode", "population", *argv, "--jobs", "2", "--reps", "4",
                  "--seed", "1", "--out", str(tmp_path / "pop.csv")]) == 2
@@ -378,7 +379,7 @@ def test_jobs_below_one_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, a
         raise AssertionError("a stream or a worker pool was started")
 
     monkeypatch.setattr(cli, "RandomSource", refuse)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     assert main([*argv, "--seed", "1", "--jobs", jobs, "--out", str(tmp_path / "o.txt")]) == 2
     assert capsys.readouterr().err == f"ultracomb: validation error: --jobs must be at least 1, got {jobs}\n"
     assert not (tmp_path / "o.txt").exists()

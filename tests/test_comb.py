@@ -4,12 +4,17 @@ ultrametric-matrix round trips."""
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.cluster.hierarchy import cophenet, linkage
 from scipy.spatial.distance import squareform
 
+import ultracomb
 from ultracomb import (BoundaryPoint, Comb, Partition, Tree, ValidationError,
                        ball_partition, comb_distance, comb_from_ultrametric,
                        comb_to_tree, parse_newick, validate_ultrametric)
@@ -17,7 +22,8 @@ from ultracomb import (BoundaryPoint, Comb, Partition, Tree, ValidationError,
 from conftest import random_comb
 from reference_tree import (reference_comb_to_tree, reference_newick, reference_parse_newick,
                             reference_path_to)
-from reference_ultrametric import reference_comb_from_ultrametric, reference_validate
+from reference_ultrametric import (reference_comb_from_ultrametric, reference_validate,
+                                   single_linkage_comb_from_ultrametric)
 
 EXAMPLE = Comb(1.0, 4.0, [0.2, 0.5, 0.8], [3.0, 1.0, 2.0])
 
@@ -357,7 +363,9 @@ def chain(n: int, step: float) -> np.ndarray:
     return np.where(gap > 0, 1.0 + (gap - 1) * step, 0.0)
 
 
-def test_validation_decides_like_triple_scan():
+def near_ultrametric_cases() -> list[np.ndarray]:
+    """Chains, and oracle matrices with one pair moved, both ways round,
+    by a relative step inside or outside the tolerance."""
     gen = np.random.default_rng(111)
     cases = [chain(n, step) for n in range(3, 9) for step in (0.3e-9, 0.6e-9, 1.1e-9)]
     for d, _ in oracle_cases(112, 300):
@@ -368,10 +376,89 @@ def test_validation_decides_like_triple_scan():
         i, k = gen.choice(n, 2, replace=False)
         d[i, k] = d[k, i] = d[i, k] * (1.0 + gen.choice([-1e-3, -1e-10, 1e-10, 2e-9, 1e-3]))
         cases.append(d)
+    return cases
+
+
+def test_validation_decides_like_triple_scan():
+    cases = near_ultrametric_cases()
     outcomes = [outcome(validate_ultrametric, d) for d in cases]
     assert outcomes == [outcome(reference_validate, d) for d in cases]
     rejected = sum(isinstance(got, str) for got in outcomes)
     assert 0 < rejected < len(cases)
+
+
+def accepted_near_ultrametrics():
+    for d in near_ultrametric_cases():
+        try:
+            validate_ultrametric(d)
+        except ValidationError:
+            continue
+        yield d, None
+
+
+def symmetric_within_rtol():
+    """Oracle matrices with one entry moved on one side only."""
+    gen = np.random.default_rng(113)
+    for d, masses in oracle_cases(114, 150):
+        n = d.shape[0]
+        if n > 1:
+            d = d.copy()
+            i, k = gen.choice(n, 2, replace=False)
+            d[i, k] *= 1.0 + 5e-10
+            yield d, masses
+
+
+REBUILD_CASES = {
+    "exact with ties and masses": lambda: oracle_cases(110, 400),
+    "accepted near-ultrametric": accepted_near_ultrametrics,
+    "symmetric within rtol": symmetric_within_rtol,
+    "deep caterpillar": lambda: [(caterpillar(1200), np.ones(1200))],
+    "one point": lambda: [(np.zeros((1, 1)), None), (np.zeros((1, 1)), [2.5])],
+}
+
+
+@pytest.mark.parametrize("kind", REBUILD_CASES)
+def test_rebuild_matches_single_linkage_oracle(kind):
+    """The nearest-earlier walk lays out exactly the comb of the former
+    walk over scipy's single-linkage matrix, on exact ultrametrics and on
+    matrices accepted only within the tolerance."""
+    cases = list(REBUILD_CASES[kind]())
+    assert cases
+    for d, masses in cases:
+        comb, placements = comb_from_ultrametric(d, masses)
+        want_comb, want_placements = single_linkage_comb_from_ultrametric(d, masses)
+        assert comb == want_comb
+        assert placements == want_placements
+
+
+def test_exact_ultrametrics_need_no_scipy():
+    # the exact tier decides and rebuilds without scipy; a matrix outside
+    # it goes through single linkage
+    env = {**os.environ, "PYTHONPATH": str(Path(ultracomb.__file__).resolve().parents[1])}
+    code = """if True:
+        import sys
+        import numpy as np
+        from ultracomb import comb_from_ultrametric, validate_ultrametric
+        gen = np.random.default_rng(5)
+        n = 300
+        heights = gen.uniform(0.05, 1.0, n - 1)
+        d = np.zeros((n, n))
+        for i in range(n - 1):
+            d[i, i + 1:] = 2.0 * np.maximum.accumulate(heights[i:])
+        d = d + d.T
+        perm = gen.permutation(n)
+        d = d[np.ix_(perm, perm)]
+        comb, placements = comb_from_ultrametric(d)
+        validate_ultrametric(d)
+        loaded = lambda: [m for m in ("scipy.cluster", "scipy.spatial") if m in sys.modules]
+        print(comb.n_teeth, len(placements), loaded())
+        d[0, 1] *= 1.0 + 5e-10
+        validate_ultrametric(d)
+        print(loaded())
+    """
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out == ["299 300 []", "['scipy.cluster', 'scipy.spatial']"]
 
 
 def test_rtol_chain_passes_triples_but_not_certificate():

@@ -51,8 +51,31 @@ def test_spawn_only_from_a_root():
         RandomSource(9).spawn(-1)
 
 
+def test_seed_must_be_an_integer():
+    assert RandomSource(np.uint64(2**63)).seed == 2**63
+    for seed in (True, 1.0, 1.5, "1", None):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            RandomSource(seed)
+
+
+def test_replicate_index_must_be_an_integer():
+    # a fractional index would otherwise alias another replicate's stream
+    root = RandomSource(3)
+    assert root.spawn(np.int32(2)).gen.random() == root.spawn(2).gen.random()
+    for index in (True, 2.7, 2.0, "2"):
+        with pytest.raises(ValidationError, match="replicate index must be an integer"):
+            root.spawn(index)
+
+
 # ----------------------------------------------------------------------
 # exchangeable-coalescent comb
+
+def test_kingman_tooth_count_must_be_an_integer():
+    assert sample_kingman_comb(np.int64(10), RandomSource(1)) == sample_kingman_comb(10, RandomSource(1))
+    for n_teeth in (10.5, 10.0, True):
+        with pytest.raises(ValidationError, match="n_teeth must be an integer"):
+            sample_kingman_comb(n_teeth, RandomSource(1))
+
 
 def test_kingman_heights_strictly_decreasing():
     rng = RandomSource(11)

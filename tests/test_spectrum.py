@@ -178,6 +178,30 @@ def sample_kingman_comb_for_test(rng):
 # ----------------------------------------------------------------------
 # stick-breaking oracle
 
+def test_esf_sampler_counts_must_be_integers():
+    same = sample_esf_spectra(1.0, np.int64(3), np.int32(4), RandomSource(2))
+    assert np.array_equal(same, sample_esf_spectra(1.0, 3, 4, RandomSource(2)))
+    for n, reps in ((2.5, 3), (3, 4.0), (True, 3)):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            sample_esf_spectra(1.0, n, reps, RandomSource(2))
+
+
+def test_gem_oracle_counts_must_be_integers():
+    same = gem_ranked_oracle(1.0, np.int64(2), np.int32(3), RandomSource(2))
+    assert np.array_equal(same, gem_ranked_oracle(1.0, 2, 3, RandomSource(2)))
+    for depth, reps in ((2.5, 2), (2, 3.0), (2, False)):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            gem_ranked_oracle(1.0, depth, reps, RandomSource(2))
+
+
+def test_pipeline_partition_sizes_must_be_integers():
+    same = sample_kingman_allelic_partition(np.int64(5), 1.0, RandomSource(2), n_teeth=np.int32(10))
+    assert same == sample_kingman_allelic_partition(5, 1.0, RandomSource(2), n_teeth=10)
+    for n, n_teeth in ((2.5, 10), (5, 10.0), (5.0, 10), (5, True)):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            sample_kingman_allelic_partition(n, 1.0, RandomSource(2), n_teeth=n_teeth)
+
+
 def test_gem_stick_mean():
     rng = RandomSource(43)
     z = rng.gen.beta(1.0, 2.0, size=200_000)

@@ -10,6 +10,10 @@ Every command runs in-process through ``ultracomb.cli.main`` with a
 fixed seed and small sizes (a few seconds in total).  The commands run
 inside OUTDIR with relative paths, so the configurations embedded in
 the outputs do not depend on where OUTDIR is.
+
+One file, ``ultrametric.json``, comes from library calls instead: no
+CLI command rebuilds an ultrametric, so it holds the comb and placements
+``comb_from_ultrametric`` returns for three seeded matrices.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ import json
 import os
 import sys
 
+import numpy as np
+
+from ultracomb import comb_from_ultrametric
 from ultracomb.cli import main
 
 MODEL_SPEC = {"birth_rate": 2.0, "lifetime": "exponential(1)", "T": 1.5, "steps": 400}
@@ -83,6 +90,36 @@ COMMANDS = {
 }
 
 
+def _comb_matrix(heights: np.ndarray) -> np.ndarray:
+    """Distances between the gaps of a comb with these tooth heights."""
+    n = heights.size + 1
+    d = np.zeros((n, n))
+    for i in range(n - 1):
+        d[i, i + 1:] = 2.0 * np.maximum.accumulate(heights[i:])
+    return d + d.T
+
+
+def ultrametric_rebuilds() -> dict:
+    """Combs and placements rebuilt from an exact random-shape matrix with
+    tied heights, a caterpillar with unit masses, and a matrix accepted
+    only within the validation tolerance."""
+    gen = np.random.default_rng(20)
+    n = 40
+    perm = gen.permutation(n)
+    tied = _comb_matrix(np.round(gen.uniform(0.0, 4.0, n - 1)) / 4.0 + 0.25)[np.ix_(perm, perm)]
+    near = tied.copy()
+    near[0, 1] = near[1, 0] = tied[0, 1] * (1.0 - 1e-10)  # single linkage joins 0 and 1 first
+    near[2, 3] *= 1.0 + 5e-10  # symmetric only within the tolerance
+    cases = {"exact-tied": (tied, None),
+             "caterpillar-unit-masses": (_comb_matrix(np.arange(n - 1.0, 0.0, -1.0)), np.ones(n)),
+             "within-tolerance": (near, None)}
+    out = {}
+    for name, (d, masses) in cases.items():
+        comb, placements = comb_from_ultrametric(d, masses)
+        out[name] = {"comb": comb.to_dict(), "placements": placements}
+    return out
+
+
 def snapshot(outdir: str) -> int:
     """Run every command into ``outdir``; return the number that failed."""
     os.makedirs(outdir, exist_ok=True)
@@ -99,6 +136,8 @@ def snapshot(outdir: str) -> int:
             if code != 0:
                 print(f"{name}: exit code {code}", file=sys.stderr)
                 failed += 1
+        with open("ultrametric.json", "w") as fh:
+            json.dump(ultrametric_rebuilds(), fh, sort_keys=True)
     finally:
         os.chdir(cwd)
     return failed
