@@ -388,9 +388,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ultracomb: numeric error: {exc}", file=sys.stderr)
         return 3
     except (MemoryError, ValueError) as exc:
-        # numpy refuses an array larger than any memory with a ValueError
+        # numpy refuses, with a ValueError, an array larger than any memory
+        # and a Poisson mean past int64 (more draws than any memory holds)
         if not isinstance(exc, MemoryError) and not str(exc).startswith(
-                ("array is too big", "Maximum allowed size exceeded")):
+                ("array is too big", "Maximum allowed size exceeded", "lam value too large")):
             raise
         print(f"ultracomb: resource error: out of memory ({str(exc) or 'allocation refused'})",
               file=sys.stderr)

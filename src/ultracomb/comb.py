@@ -40,70 +40,55 @@ _FACES = ("left", "right")
 # the one relative tolerance of validate_ultrametric and comb_from_ultrametric
 _ULTRAMETRIC_RTOL = 1e-9
 
-# teeth per block of the range-max index: each query scans at most two
+# teeth per block of the range-max pass: each query scans at most two
 # blocks directly and skips whole blocks through the sparse table
 _BLOCK = 32
 _OFFSETS = np.arange(_BLOCK)
 
 
-class _RangeMax:
-    """Read-only index over tooth heights: the first tooth above a level.
+def _next_above(heights: np.ndarray, starts: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Per (start, level): the first index >= start whose height is >
+    level (n if none).
 
     Heights are cut into blocks of ``_BLOCK`` teeth; ``table[k, b]`` is
     the tallest tooth of blocks ``b .. b + 2**k - 1``, or +inf where that
     run leaves the comb (a sparse table over block maxima, as in Bender
-    and Farach-Colton, "The LCA problem revisited", LATIN 2000).  Besides
-    the heights it reads, it holds ``(n / _BLOCK) log2(n / _BLOCK)``
-    floats.  A batch of queries costs a few gathers of ``_BLOCK`` heights
-    per entry plus one sparse-table step per level; answers equal a
-    direct scan.
+    and Farach-Colton, "The LCA problem revisited", LATIN 2000), built
+    for this call only: ``(n / _BLOCK) log2(n / _BLOCK)`` floats.  Each
+    query skips the blocks after its start's that are no taller than its
+    level, one sparse-table step per level, then scans two rows of
+    ``_BLOCK`` heights: from its start, and the block it landed on.
+    Answers equal a direct scan.
     """
-
-    __slots__ = ("heights", "table")
-
-    def __init__(self, heights: np.ndarray):
-        n = heights.size
-        n_blocks = -(-n // _BLOCK)
-        levels = max(1, n_blocks.bit_length())
-        table = np.full((levels, n_blocks + 1), np.inf)
-        table[0, :n_blocks] = np.maximum.reduceat(heights, np.arange(0, n, _BLOCK))
-        for k in range(1, levels):
-            span = 1 << k
-            half = span >> 1
-            np.maximum(table[k - 1, :n_blocks + 1 - span],
-                       table[k - 1, half:n_blocks + 1 - half], out=table[k, :n_blocks + 1 - span])
-        table.flags.writeable = False
-        self.heights = heights
-        self.table = table
-
-    def _gather(self, lo: np.ndarray) -> np.ndarray:
-        """``heights[lo + j]`` for j < _BLOCK, one row per entry.  Past the
-        last tooth its height repeats, which never moves a first hit: a
-        row that runs past tooth n-1 holds it earlier."""
-        return self.heights.take(lo[:, None] + _OFFSETS, mode="clip")
-
-    def next_above(self, starts: np.ndarray, levels: np.ndarray) -> np.ndarray:
-        """First index >= start whose height is > level (n if none)."""
-        starts, levels = np.broadcast_arrays(np.maximum(np.asarray(starts, dtype=np.int64), 0),
-                                             np.asarray(levels, dtype=float))
-        n = self.heights.size
-        out = np.full(starts.shape, n, dtype=np.int64)
-        live = starts < n
-        start, level = starts[live], levels[live]
-        hits = self._gather(start) > level[:, None]
-        found = hits.any(axis=1)
-        answer = np.where(found, start + hits.argmax(axis=1), n)
-        # the rest: binary lifting over block maxima, skipping every run
-        # of blocks no taller than the level, longest runs first
-        level = level[~found]
-        block = start[~found] // _BLOCK + 1
-        for k in range(self.table.shape[0] - 1, -1, -1):
-            block += (self.table[k, block] <= level).astype(np.int64) << k
-        # block == n_blocks lies past the last tooth: no hit, answer n
-        hits = self._gather(block * _BLOCK) > level[:, None]
-        answer[~found] = np.where(hits.any(axis=1), block * _BLOCK + hits.argmax(axis=1), n)
-        out[live] = answer
-        return out
+    starts = np.maximum(np.asarray(starts, dtype=np.int64), 0)
+    levels = np.asarray(levels, dtype=float)
+    n = heights.size
+    n_blocks = -(-n // _BLOCK)
+    table = np.full((max(1, n_blocks.bit_length()), n_blocks + 1), np.inf)
+    table[0, :n_blocks] = np.maximum.reduceat(heights, np.arange(0, n, _BLOCK))
+    for k in range(1, table.shape[0]):
+        span = 1 << k
+        half = span >> 1
+        np.maximum(table[k - 1, :n_blocks + 1 - span],
+                   table[k - 1, half:n_blocks + 1 - half], out=table[k, :n_blocks + 1 - span])
+    out = np.full(starts.shape, n, dtype=np.int64)
+    live = starts < n
+    start, level = starts[live], levels[live]
+    # binary lifting over block maxima, skipping every run of blocks no
+    # taller than the level, longest runs first; block == n_blocks lies
+    # past the last tooth
+    block = start // _BLOCK + 1
+    for k in range(table.shape[0] - 1, -1, -1):
+        block += (table[k, block] <= level).astype(np.int64) << k
+    # the first hit is in the row from the start or, failing that, in the
+    # block landed on.  Past the last tooth its height repeats, which
+    # never moves a first hit: a row that runs past tooth n-1 holds it
+    # earlier, and one that lands past it has no hit
+    at = (np.array((start, block * _BLOCK)).T[:, :, None] + _OFFSETS).reshape(-1, 2 * _BLOCK)
+    hits = heights.take(at, mode="clip") > level[:, None]
+    first = at[np.arange(start.size), hits.argmax(axis=1)]
+    out[live] = np.where(hits.any(axis=1), first, n)
+    return out
 
 
 class Comb:
@@ -170,10 +155,10 @@ class Comb:
         return float(self.heights[lo:hi].max()) if hi > lo else 0.0
 
     def next_taller_batch(self, starts, levels) -> np.ndarray:
-        """For each (start, level): the first tooth index >= start whose
-        height is > level, or n_teeth if there is none, through a
-        range-max index built per call: batch a comb's queries."""
-        return _RangeMax(self.heights).next_above(starts, levels)
+        """For each (start, level) of two equal-shape arrays: the first
+        tooth index >= start whose height is > level, or n_teeth if there
+        is none, through one range-max pass per call: batch a comb's queries."""
+        return _next_above(self.heights, starts, levels)
 
     def next_taller(self, start: int, level: float) -> int:
         """First tooth index >= start with height > level (n_teeth if none)."""
@@ -302,6 +287,14 @@ def comb_distance(comb: Comb, p, q) -> float:
     return 2.0 * comb.max_height_between(lo, hi)
 
 
+def _sample_positions(comb: Comb, positions: Sequence[float]) -> np.ndarray:
+    """Sample positions as a float array, each checked to lie in the comb interval."""
+    pts = np.asarray(list(positions), dtype=float)
+    if not np.all((pts >= 0.0) & (pts <= comb.interval_length)):
+        raise ValidationError("sample positions outside the comb interval")
+    return pts
+
+
 def ball_partition(comb: Comb, positions: Sequence[float], radius: float) -> Partition:
     """Partition sample positions into balls of radius ``radius``: two
     share a block iff their comb distance is <= radius, that is iff no
@@ -312,10 +305,7 @@ def ball_partition(comb: Comb, positions: Sequence[float], radius: float) -> Par
     """
     if not radius > 0.0:
         raise ValidationError("radius must be positive")
-    pts = np.asarray(list(positions), dtype=float)
-    if not np.all((pts >= 0.0) & (pts <= comb.interval_length)):
-        raise ValidationError("sample positions outside the comb interval")
-    cut = np.searchsorted(comb.positions, pts, side="right")
+    cut = np.searchsorted(comb.positions, _sample_positions(comb, positions), side="right")
     return Partition(np.concatenate(([0], np.cumsum(~(2.0 * comb.heights <= radius))))[cut])
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .comb import Comb, Partition
+from .comb import Comb, Partition, _sample_positions
 from .errors import NumericError, ValidationError, _malformed
 from .intensity import _SPOT_CHECK_RTOL
 from .rng import RandomSource
@@ -136,7 +136,7 @@ class MutationSet:
 
     def clade_bounds(self, comb: Comb) -> tuple[np.ndarray, np.ndarray]:
         """Carrier intervals [start, end) of all atoms, in atom order, from
-        one batched query of the comb's range-max index.
+        one batched range-max query of the comb.
 
         An atom's interval runs from its branch position (0 for the
         origin) to the first tooth to the right taller than its depth (or
@@ -260,10 +260,7 @@ def assign_alleles(comb: Comb, mutations: MutationSet,
     positions, and the per-position atom index as a list with None for
     clonal positions.
     """
-    pts = np.asarray(list(positions), dtype=float)
-    if not np.all((pts >= 0.0) & (pts <= comb.interval_length)):
-        raise ValidationError("sample positions outside the comb interval")
-    labels = _allele_labels(comb, mutations, pts)
+    labels = _allele_labels(comb, mutations, _sample_positions(comb, positions))
     return Partition(labels), [None if v < 0 else v for v in labels.tolist()]
 
 
@@ -292,15 +289,12 @@ class ClonalSet:
 
 
 def clonal_set(comb: Comb, mutations: MutationSet) -> ClonalSet:
-    """Boundary points with no mutation on their lineage: the complement
-    of the union of all carrier intervals."""
-    start, end = mutations.clade_bounds(comb)
-    order = np.lexsort((end, start))
-    start, reach = start[order], np.maximum.accumulate(end[order])
-    # covered runs break where a clade starts beyond all earlier ends
-    gap = np.flatnonzero(start[1:] > reach[:-1])
-    lo = np.concatenate(([0.0], reach[gap], reach[-1:]))
-    hi = np.concatenate((start[:1], start[gap + 1], [comb.interval_length]))
+    """Boundary points with no mutation on their lineage: the gaps
+    between the outermost clades, which are disjoint and in start order."""
+    start, end, parent, _ = _clade_forest(*mutations.clade_bounds(comb))
+    top = parent < 0
+    lo = np.concatenate(([0.0], end[top]))
+    hi = np.concatenate((start[top], [comb.interval_length]))
     keep = hi > lo
     return ClonalSet(tuple(zip(lo[keep].tolist(), hi[keep].tolist())))
 

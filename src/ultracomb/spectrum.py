@@ -189,6 +189,8 @@ def sample_kingman_allelic_partition(n: int, theta: float, rng: RandomSource,
     The comb is truncated to ``n_teeth`` teeth, which bounds the
     unresolved depth by roughly 2/n_teeth.
     """
+    if not 0 <= theta < math.inf:
+        raise ValidationError(f"theta must be nonnegative and finite, got {theta}")
     if _integer("n", n) < 1:
         raise ValidationError("n must be at least 1")
     comb = sample_kingman_comb(n_teeth, rng)
@@ -208,19 +210,15 @@ def population_spectrum(comb: Comb, mutations: MutationSet) -> FrequencySpectrum
     Clades are laminar and strictly nested clades are strictly
     shallower, so the carriers of a distinct clade are its length minus
     the lengths of its child clades, subtracted in start order (one
-    ``subtract.reduceat``); a clade repeated by deeper atoms on the
-    same branch counts once.  That is the sweep's float arithmetic,
-    operation for operation.
+    ``subtract.at`` over the children in preorder); a clade repeated by
+    deeper atoms on the same branch counts once.  That is the sweep's
+    float arithmetic, operation for operation.
     """
     start, end, parent, _ = _clade_forest(*mutations.clade_bounds(comb))
     length = end - start
+    carriers = length.copy()
     child = np.flatnonzero(parent >= 0)
-    # per clade: its own length, then its children's lengths in start order
-    group = np.concatenate((np.arange(start.size), parent[child]))
-    rank = np.concatenate((np.full(start.size, -1), child))
-    order = np.lexsort((rank, group))
-    carriers = np.subtract.reduceat(np.concatenate((length, length[child]))[order],
-                                    np.flatnonzero(rank[order] < 0))
+    np.subtract.at(carriers, parent[child], length[child])
     return FrequencySpectrum(masses=tuple(carriers[carriers > 0.0].tolist()))
 
 

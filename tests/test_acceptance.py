@@ -1,14 +1,17 @@
 """Acceptance gates.
 
-One test per criterion, each printing a [PASS]/[FAIL] line (run with
-``pytest tests/test_acceptance.py -v -s``).  Tolerances are pinned here;
-seeds are fixed so every gate is reproducible.
+One test per criterion, each printing a [PASS]/[FAIL] line with its
+wall time (run with ``pytest tests/test_acceptance.py -v -s``).
+Tolerances are pinned here; seeds are fixed so every gate is
+reproducible.
 """
 
 import itertools
 import math
+import time
 
 import numpy as np
+import pytest
 from scipy import integrate, special, stats
 
 from ultracomb import (BoundaryPoint, Immortal, IntensityModel,
@@ -26,8 +29,18 @@ from ultracomb import (BoundaryPoint, Immortal, IntensityModel,
 from conftest import random_comb
 
 
+_started = {}
+
+
+@pytest.fixture(autouse=True)
+def _clock():
+    """Record when each gate's test starts, for the wall time its verdict prints."""
+    _started["test"] = time.perf_counter()
+
+
 def gate(criterion: str, ok: bool, detail: str) -> None:
-    print(f"[{'PASS' if ok else 'FAIL'}] criterion {criterion}: {detail}")
+    wall = time.perf_counter() - _started["test"]
+    print(f"[{'PASS' if ok else 'FAIL'}] ({wall:.1f} s) criterion {criterion}: {detail}")
     assert ok, f"criterion {criterion}: {detail}"
 
 

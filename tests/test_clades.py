@@ -1,6 +1,8 @@
-"""The comb's range-max index and the array clade code, against the
+"""The comb's range-max pass and the array clade code, against the
 per-query reference definitions in ``reference_clades``.  Every
 comparison is exact."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +11,14 @@ from ultracomb import (ORIGIN_BRANCH, Comb, MutationMeasure, MutationSet,
                        RandomSource, ValidationError, assign_alleles,
                        ball_partition, clonal_set, comb_distance,
                        population_spectrum, scatter_mutations)
-from ultracomb.comb import _BLOCK, _RangeMax
+from ultracomb.comb import _BLOCK
 
 from reference_clades import (reference_ball_partition, reference_clade,
                               reference_clonal_intervals, reference_comb_distance,
                               reference_labels, reference_max_height_between,
                               reference_next_taller, reference_population_masses)
 
-# around the index's block size and its sparse-table level boundaries,
+# around the range-max pass's block size and its sparse-table level boundaries,
 # and around the reference's sqrt-block boundaries
 SIZES = sorted({0, 1, 2, 3, 4, 15, 16, 17, 24, 25, 26}
                | {_BLOCK * k + d for k in (1, 2, 3, 4, 8, 33) for d in (-1, 0, 1)})
@@ -104,14 +106,21 @@ def test_queries_at_and_past_the_last_tooth():
     assert [empty.max_height_between(0, hi) for hi in (0, 5)] == [0.0, 0.0]
 
 
-def test_index_is_read_only_and_small():
-    c = make_comb(np.random.default_rng(904), 500, False)
-    index = _RangeMax(c.heights)
-    assert index.heights is c.heights and not index.table.flags.writeable
-    # slotted: neither the comb nor its index can grow a cache
-    assert not hasattr(c, "__dict__") and not hasattr(index, "__dict__")
-    # far below a float64 sparse table over every tooth
-    assert index.table.nbytes < 0.05 * c.n_teeth * 8 * 9
+def test_range_max_pass_is_small():
+    c = make_comb(np.random.default_rng(904), 10 ** 5, False)
+    # slotted: a comb cannot grow a cache
+    assert not hasattr(c, "__dict__")
+    gen = np.random.default_rng(910)
+    starts, levels = gen.integers(0, c.n_teeth, 100), gen.choice(c.heights, 100)
+    tracemalloc.start()
+    try:
+        c.next_taller_batch(starts, levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one call of 100 queries peaks far below a float64 sparse table over
+    # every tooth (17 levels at 10**5 teeth)
+    assert peak < 0.05 * c.n_teeth * 8 * 17
 
 
 @pytest.mark.parametrize("tied", [False, True])

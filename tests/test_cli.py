@@ -180,14 +180,21 @@ def test_oversized_counts_exit_3_without_traceback(tmp_path, capsys, argv):
 
 
 # counts at and past 2**63: numpy's float count or its size check refuses them
-# before allocating anything
+# before allocating anything; so does its Poisson draw for a mean past int64
 @pytest.mark.parametrize("argv", [
     ["solve-w", "--steps", str(2 ** 63 - 1)],
     ["solve-w", "--steps", str(2 ** 63 - 2)],
     ["solve-w", "--steps", str(2 ** 64)],
     ["sample", "--model", "kingman", "--n-teeth", str(2 ** 64), "--seed", "1"],
     ["spectrum", "--mode", "sample", "--theta", "1", "--n", str(2 ** 63 - 1), "--reps", "2",
-     "--seed", "1"]])
+     "--seed", "1"],
+    ["spectrum", "--mode", "sample", "--theta", "1e300", "--reps", "2", "--seed", "1"],
+    ["spectrum", "--mode", "population", "--model", "cpp-brownian", "--theta", "1e300",
+     "--reps", "2", "--seed", "1"],
+    ["spectrum", "--mode", "population", "--model", "cpp-brownian", "--theta", "1", "--T", "5",
+     "--eps", "1e-300", "--reps", "3", "--seed", "1"],
+    ["sample", "--model", "splitting", "--b", "1e300", "--seed", "1"],
+    ["sample", "--model", "cpp-brownian", "--T", "1e308", "--eps", "1e-308", "--seed", "1"]])
 def test_counts_past_int64_exit_3_with_one_line(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path / "o.txt")]) == 3
     err = capsys.readouterr().err
@@ -302,6 +309,17 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["mutate", "--in", str(combs), "--index", index, "--theta", "1",
                      "--seed", "1", "--out", str(tmp_path / "m.json")]) == 2, index
         assert f"comb index {index} out of range" in capsys.readouterr().err
+    # a Poisson mean past int64 is a resource error, not a traceback
+    assert main(["mutate", "--in", str(combs), "--theta", "1e300", "--seed", "1",
+                 "--out", str(tmp_path / "m.json")]) == 3
+    assert capsys.readouterr().err == ("ultracomb: resource error: out of memory "
+                                       "(lam value too large)\n")
+    assert not (tmp_path / "m.json").exists()
+    # sample mode names the theta it was given, not the per-depth rate theta/2
+    assert main(["spectrum", "--mode", "sample", "--theta", "-1", "--reps", "2", "--seed", "1",
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err == ("ultracomb: validation error: "
+                                       "theta must be nonnegative and finite, got -1.0\n")
     for lifetime in ("exponential(nan)", "fixed(nan)", "exponential(inf)"):
         assert main(["sample", "--model", "splitting", "--seed", "1", "--lifetime", lifetime,
                      "--out", str(tmp_path / "t.json")]) == 2, lifetime
@@ -425,5 +443,5 @@ def test_cli_snapshot_tool_writes_every_command(tmp_path):
     spec = importlib.util.spec_from_file_location("cli_snapshot", script)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    for name in tool.COMMANDS:
+    for name in [*tool.COMMANDS, "ultrametric.json", "clades.json"]:
         assert (tmp_path / name).stat().st_size > 0, name

@@ -202,6 +202,15 @@ def test_pipeline_partition_sizes_must_be_integers():
             sample_kingman_allelic_partition(n, 1.0, RandomSource(2), n_teeth=n_teeth)
 
 
+def test_pipeline_names_the_theta_it_was_given():
+    for theta in (-1.0, math.nan, math.inf):
+        rng = RandomSource(2)
+        with pytest.raises(ValidationError, match=rf"^theta must be nonnegative and finite, "
+                                                  rf"got {theta}$"):
+            sample_kingman_allelic_partition(5, theta, rng, n_teeth=10)
+        assert rng.gen.random() == RandomSource(2).gen.random()  # checked before any draw
+
+
 def test_gem_stick_mean():
     rng = RandomSource(43)
     z = rng.gen.beta(1.0, 2.0, size=200_000)

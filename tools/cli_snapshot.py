@@ -11,9 +11,13 @@ fixed seed and small sizes (a few seconds in total).  The commands run
 inside OUTDIR with relative paths, so the configurations embedded in
 the outputs do not depend on where OUTDIR is.
 
-One file, ``ultrametric.json``, comes from library calls instead: no
-CLI command rebuilds an ultrametric, so it holds the comb and placements
-``comb_from_ultrametric`` returns for three seeded matrices.
+Two files come from library calls instead.  No CLI command rebuilds an
+ultrametric, so ``ultrametric.json`` holds the comb and placements
+``comb_from_ultrametric`` returns for three seeded matrices.  No CLI
+command prints clades, carrier masses or clonal intervals, so
+``clades.json`` holds the clade bounds, ``population_spectrum`` masses,
+``clonal_set`` intervals and ``assign_alleles`` labels of three seeded
+combs with their mutation rain.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ import sys
 
 import numpy as np
 
-from ultracomb import comb_from_ultrametric
+from ultracomb import (IntensityModel, MutationMeasure, RandomSource, assign_alleles,
+                       clonal_set, comb_from_ultrametric, population_spectrum, sample_cpp,
+                       sample_cpp_fixed_width, sample_kingman_comb, scatter_mutations)
 from ultracomb.cli import main
 
 MODEL_SPEC = {"birth_rate": 2.0, "lifetime": "exponential(1)", "T": 1.5, "steps": 400}
@@ -120,6 +126,36 @@ def ultrametric_rebuilds() -> dict:
     return out
 
 
+# name -> (comb draw, whether the rain includes the origin branch); the
+# two without origin atoms leave clonal intervals
+CLADE_CASES = {
+    "kingman-300": (lambda rng: sample_kingman_comb(300, rng), True),
+    "brownian-eps-1e-2": (lambda rng: sample_cpp(IntensityModel.brownian(1.0), 10.0, 1e-2,
+                                                 rng).comb, False),
+    "critical-bd-window": (lambda rng: sample_cpp_fixed_width(IntensityModel.critical_bd(),
+                                                              20.0, 1e-3, rng), False),
+}
+
+
+def clade_readings() -> dict:
+    """Every clade reader's output on three seeded combs with a theta = 1
+    rain, labels taken at both ends, three teeth and 40 seeded points."""
+    out = {}
+    for seed, (name, (draw, include_origin)) in enumerate(CLADE_CASES.items(), start=31):
+        rng = RandomSource(seed)
+        comb = draw(rng)
+        ms = scatter_mutations(comb, MutationMeasure.homogeneous(1.0), include_origin, rng)
+        start, end = ms.clade_bounds(comb)
+        a = comb.interval_length
+        pts = np.concatenate(([0.0, a], comb.positions[:3], rng.gen.random(40) * a))
+        out[name] = {"n_teeth": comb.n_teeth, "atoms": len(ms),
+                     "clade_bounds": [start.tolist(), end.tolist()],
+                     "population_masses": population_spectrum(comb, ms).masses,
+                     "clonal_intervals": clonal_set(comb, ms).intervals,
+                     "allele_labels": assign_alleles(comb, ms, pts)[1]}
+    return out
+
+
 def snapshot(outdir: str) -> int:
     """Run every command into ``outdir``; return the number that failed."""
     os.makedirs(outdir, exist_ok=True)
@@ -138,6 +174,8 @@ def snapshot(outdir: str) -> int:
                 failed += 1
         with open("ultrametric.json", "w") as fh:
             json.dump(ultrametric_rebuilds(), fh, sort_keys=True)
+        with open("clades.json", "w") as fh:
+            json.dump(clade_readings(), fh, sort_keys=True)
     finally:
         os.chdir(cwd)
     return failed
