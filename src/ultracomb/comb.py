@@ -51,20 +51,20 @@ def _next_above(heights: np.ndarray, starts: np.ndarray, levels: np.ndarray) -> 
     level (n if none).
 
     Heights are cut into blocks of ``_BLOCK`` teeth; ``table[k, b]`` is
-    the tallest tooth of blocks ``b .. b + 2**k - 1``, or +inf where that
-    run leaves the comb (a sparse table over block maxima, as in Bender
-    and Farach-Colton, "The LCA problem revisited", LATIN 2000), built
-    for this call only: ``(n / _BLOCK) log2(n / _BLOCK)`` floats.  Each
-    query skips the blocks after its start's that are no taller than its
-    level, one sparse-table step per level, then scans two rows of
-    ``_BLOCK`` heights: from its start, and the block it landed on.
-    Answers equal a direct scan.
+    the tallest tooth of blocks ``b .. b + 2**k - 1``, or NaN where that
+    run leaves the comb, which no level skips, not even inf (a sparse
+    table over block maxima, as in Bender and Farach-Colton, "The LCA
+    problem revisited", LATIN 2000), built for this call only:
+    ``(n / _BLOCK) log2(n / _BLOCK)`` floats.  Each query skips the blocks
+    after its start's that are no taller than its level, one sparse-table
+    step per level, then scans two rows of ``_BLOCK`` heights: from its
+    start, and the block it landed on.  Answers equal a direct scan.
     """
     starts = np.maximum(np.asarray(starts, dtype=np.int64), 0)
     levels = np.asarray(levels, dtype=float)
     n = heights.size
     n_blocks = -(-n // _BLOCK)
-    table = np.full((max(1, n_blocks.bit_length()), n_blocks + 1), np.inf)
+    table = np.full((max(1, n_blocks.bit_length()), n_blocks + 1), np.nan)
     table[0, :n_blocks] = np.maximum.reduceat(heights, np.arange(0, n, _BLOCK))
     for k in range(1, table.shape[0]):
         span = 1 << k

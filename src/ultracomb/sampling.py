@@ -94,11 +94,11 @@ def sample_kingman_comb(n_teeth: int, rng: RandomSource) -> Comb:
     return Comb(1.0, float(heights_by_rank[0]) + 1.0, positions, heights_by_rank[order])
 
 
-def _tail_heights(model: IntensityModel, gen, count: int, nu_lo: float,
-                  nu_hi: float, cap: float) -> np.ndarray:
-    """``count`` i.i.d. heights whose tail values are uniform on
-    (nu_lo, nu_hi], by inverse-tail sampling; heights stay below ``cap``,
-    the height whose tail is ``nu_lo`` (inf when ``nu_lo`` is 0)."""
+def _tail_heights(model: IntensityModel, gen, count: int, nu_lo: float | np.ndarray,
+                  nu_hi: float | np.ndarray, cap: float | np.ndarray) -> np.ndarray:
+    """``count`` independent heights whose tail values are uniform on
+    (nu_lo, nu_hi] (scalars, or one bound per height), by inverse-tail
+    sampling; each stays below ``cap``, where the tail is ``nu_lo``."""
     u = gen.random(count)
     heights = np.asarray(model.tail_inverse(nu_lo + (1.0 - u) * (nu_hi - nu_lo)), dtype=float)
     # float guard: inverse evaluation may land exactly on the cap

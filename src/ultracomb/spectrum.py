@@ -11,12 +11,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .comb import Comb, Partition
-from .errors import ValidationError, _integer
+from .errors import ResourceError, ValidationError, _integer
 from .intensity import IntensityModel
-from .mutation import (MutationMeasure, MutationSet, _clade_forest, assign_alleles,
-                       scatter_mutations)
+from .mutation import (ORIGIN_BRANCH, MutationMeasure, MutationSet, _clade_forest,
+                       assign_alleles, scatter_mutations)
 from .rng import RandomSource
-from .sampling import _killed_comb, _killed_tails, _tail_heights, sample_kingman_comb
+from .sampling import _killed_tails, _tail_heights, sample_kingman_comb
 
 __all__ = [
     "FrequencySpectrum",
@@ -254,8 +254,10 @@ def _check_tail_spectrum(model_name: str, theta: float, horizon: float, eps: flo
     The Brownian-type model also gets its killed comb's checks on eps."""
     if model_name not in ("critical-bd", "brownian"):
         raise ValidationError(f"model must be 'critical-bd' or 'brownian', got {model_name!r}")
-    if not 0 < theta < math.inf or not 0 < horizon < math.inf or reps < 2:
-        raise ValidationError("need a finite theta > 0, a finite horizon > 0, reps >= 2")
+    if (not 0 < theta < math.inf or not 0 < horizon < math.inf or theta * horizon == math.inf
+            or _integer("reps", reps) < 2):
+        raise ValidationError("need a finite theta > 0, a finite horizon > 0, a finite "
+                              "mutation mass theta * horizon, reps >= 2")
     if model_name == "brownian":
         _killed_tails(IntensityModel.brownian(mass_scale=1.0), horizon, eps)
     qs = [float(q) for q in qs]
@@ -267,20 +269,88 @@ def _check_tail_spectrum(model_name: str, theta: float, horizon: float, eps: flo
     return qs
 
 
+_BAND_RATIO = 4.0  # between the tops of consecutive height bands in _band_comb
+
+
+def _band_comb(model: IntensityModel, measure: MutationMeasure, horizon: float, eps: float,
+               gen) -> tuple[Comb, MutationSet]:
+    """A killed comb's rain, origin included, on the teeth its clades read.
+
+    Teeth with and without atoms (probability 1 - exp(-M(h)) at height h)
+    are independent Poisson processes.  On the bands [b, t) of the ladder
+    horizon, horizon/4, ... down to eps, marked teeth are thinned proposals
+    over the whole width.  Unmarked ones are drawn from the top band down,
+    only from the origin and each tooth with an atom shallower than t to
+    the first tooth of height >= t on its right: no other one ends a clade,
+    and the taller teeth there were drawn in earlier bands.  The width is
+    drawn first, as in ``_killed_comb``.
+    """
+    nu_top, _ = _killed_tails(model, horizon, eps)
+    width = gen.exponential(1.0 / nu_top)
+    n_bands = math.ceil((math.log(horizon) - math.log(eps)) / math.log(_BAND_RATIO))
+    tops = horizon * _BAND_RATIO ** -np.arange(n_bands + 1.0)
+    tops = tops[tops > eps]
+    bottoms = np.maximum(tops / _BAND_RATIO, eps)
+    nu_t, nu_b, m_b = model.tail(tops), model.tail(bottoms), measure.cumulative(bottoms)
+    cap = np.minimum(measure.cumulative(tops), 1.0)  # bounds 1 - exp(-M(h)) on the band
+    band = np.repeat(np.arange(tops.size), gen.poisson(width * (nu_b - nu_t) * cap))
+    heights = _tail_heights(model, gen, band.size, nu_t[band], nu_b[band], tops[band])
+    mass = measure.cumulative(heights)
+    keep = gen.random(band.size) * cap[band] < -np.expm1(-mass)
+    raw = width * gen.random(np.count_nonzero(keep))
+    order = np.argsort(raw)
+    pos, hgt, mass = raw[order], heights[keep][order], mass[keep][order]
+    n = pos.size
+    # in mass coordinates: a marked tooth's first atom, then a rain above it (origin: above 0)
+    first = -np.log1p(gen.random(n) * np.expm1(-mass))
+    m_lo, m_hi = np.append(first, 0.0), np.append(mass, measure.cumulative(horizon))
+    more = np.repeat(np.arange(n + 1), gen.poisson(np.maximum(m_hi - m_lo, 0.0)))
+    branch = np.append(np.arange(n), more)
+    atom_mass = np.append(first, m_lo[more] + gen.random(more.size) * (m_hi - m_lo)[more])
+    depth = np.clip(measure.inverse(atom_mass), np.nextafter(0.0, 1.0),
+                    np.nextafter(np.append(hgt, horizon)[branch], 0.0))
+    # branches by position, the origin at 0 and always active, and their shallowest atoms
+    bx, bz = np.append(0.0, pos), np.append(-math.inf, depth[:n])
+    # every tooth drawn so far by position, between sentinels of infinite height at 0 and width
+    edges, hgt = np.concatenate((bx, [width])), np.concatenate(([math.inf], hgt, [math.inf]))
+    for top, lo, hi, shift, rate in zip(tops, nu_t, nu_b, m_b, (nu_b - nu_t) * np.exp(-m_b)):
+        x, tall = bx[bz < top], edges[hgt >= top]
+        end = tall[np.searchsorted(tall, x, side="right")]  # regions share ends or are disjoint
+        length = np.minimum(end, np.append(x[1:], width)) - x
+        cum = np.cumsum(length)
+        h = _tail_heights(model, gen, gen.poisson(cum[-1] * rate), lo, hi, top)
+        h = h[gen.random(h.size) < np.exp(shift - measure.cumulative(h))]
+        # distinct positions strictly inside the width, redrawn as in _distinct_uniforms
+        for _ in range(8):
+            u = cum[-1] * gen.random(h.size)
+            k = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+            merged = np.concatenate((edges, x[k] + (u - (cum[k] - length[k]))))
+            order = merged.argsort(kind="stable")
+            merged = merged[order]
+            if merged[0] == 0.0 and merged[-1] == width and (merged[1:] > merged[:-1]).all():
+                break
+        else:
+            raise ResourceError("could not draw distinct interior positions")
+        edges, hgt = merged, np.concatenate((hgt, h))[order]
+    index = np.append(np.searchsorted(edges, bx[1:]) - 1, ORIGIN_BRANCH)  # branch n: the origin
+    return Comb(width, horizon, edges[1:-1], hgt[1:-1]), MutationSet(index[branch], depth)
+
+
 def _tail_spectrum_replicate(model_name: str, theta: float, horizon: float, eps: float,
                              qs: Sequence[float], rng: RandomSource) -> tuple[float, np.ndarray]:
     """Width of one killed genealogy and, per q, its number of alleles of carrier
     measure exactly q (critical-bd: unit individuals, so sizes) or at least q (brownian)."""
     gen = rng.gen
+    measure = MutationMeasure.homogeneous(theta)
     if model_name == "critical-bd":
         model = IntensityModel.critical_bd()
         nu_top, nu_zero = model.tail(horizon), model.tail(0.0)
         n = int(gen.geometric(nu_top / nu_zero))
         heights = _tail_heights(model, gen, n - 1, nu_top, nu_zero, horizon)
         comb = Comb(float(n), horizon, np.arange(1, n, dtype=float), heights)
+        mutations = scatter_mutations(comb, measure, True, rng)
     else:
-        comb, _ = _killed_comb(IntensityModel.brownian(mass_scale=1.0), horizon, eps, gen)
-    mutations = scatter_mutations(comb, MutationMeasure.homogeneous(theta), True, rng)
+        comb, mutations = _band_comb(IntensityModel.brownian(1.0), measure, horizon, eps, gen)
     masses = np.asarray(population_spectrum(comb, mutations).masses)[:, None]
     hits = masses == np.asarray(qs) if model_name == "critical-bd" else masses >= np.asarray(qs)
     return comb.interval_length, np.count_nonzero(hits, axis=0)

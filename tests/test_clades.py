@@ -106,6 +106,16 @@ def test_queries_at_and_past_the_last_tooth():
     assert [empty.max_height_between(0, hi) for hi in (0, 5)] == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 100])
+def test_an_infinite_level_finds_no_taller_tooth(n):
+    c = Comb(1.0, 2.0, np.arange(1, n + 1) / (n + 2), np.full(n, 0.5))
+    starts = np.arange(n + 1)
+    assert c.next_taller_batch(starts, np.full(n + 1, np.inf)).tolist() == [n] * (n + 1)
+    even = starts % 2 == 0  # finite levels in the same batch keep their answers
+    got = c.next_taller_batch(starts, np.where(even, np.inf, 0.25))
+    assert got.tolist() == np.where(even, n, starts).tolist()
+
+
 def test_range_max_pass_is_small():
     c = make_comb(np.random.default_rng(904), 10 ** 5, False)
     # slotted: a comb cannot grow a cache

@@ -180,7 +180,9 @@ def test_oversized_counts_exit_3_without_traceback(tmp_path, capsys, argv):
 
 
 # counts at and past 2**63: numpy's float count or its size check refuses them
-# before allocating anything; so does its Poisson draw for a mean past int64
+# before allocating anything; so does its Poisson draw for a mean past int64.
+# The population run at --eps 1e-300 stops at the Brownian band sampler's
+# position-resolution guard (a ResourceError) after a few bands instead
 @pytest.mark.parametrize("argv", [
     ["solve-w", "--steps", str(2 ** 63 - 1)],
     ["solve-w", "--steps", str(2 ** 63 - 2)],

@@ -10,9 +10,10 @@ import pytest
 from ultracomb import (BoundaryPoint, Comb, ContourFunction, FrequencySpectrum,
                        IntensityModel, MutationMeasure, RandomSource, TimeChange, ValidationError,
                        comb_from_ultrametric, comb_to_tree, expected_sample_spectrum,
-                       integer_partition_counts, padic_comb, reduce_population_tree,
-                       rescale_comb, sample_cpp_fixed_width, sphere_comb_from_contour,
-                       time_change_comb, unrescale_comb, validate_ultrametric)
+                       integer_partition_counts, normalized_tail_spectrum, padic_comb,
+                       reduce_population_tree, rescale_comb, sample_cpp_fixed_width,
+                       sphere_comb_from_contour, time_change_comb, unrescale_comb,
+                       validate_ultrametric)
 from ultracomb.intensity import mutation_rate_pushforward
 
 PAIR = [[0.0, 1.0], [1.0, 0.0]]
@@ -100,6 +101,16 @@ CASES = [
     ("unrescale-eps-above-one", lambda: unrescale_comb(COMB, 1.5), "eps must be in (0, 1]"),
     ("reduce-horizon-zero", lambda: reduce_population_tree(comb_to_tree(COMB), 0.0),
      "horizon must be positive"),
+    ("tail-spectrum-reps-float",
+     lambda: normalized_tail_spectrum("brownian", 1.0, 10.0, [1.0], 2.5, RandomSource(1)),
+     "reps must be an integer, got 2.5"),
+    ("tail-spectrum-reps-integral-float",
+     lambda: normalized_tail_spectrum("critical-bd", 1.0, 10.0, [1.0], 3.0, RandomSource(1)),
+     "reps must be an integer, got 3.0"),
+    ("tail-spectrum-mass-overflow",
+     lambda: normalized_tail_spectrum("brownian", 1e308, 50.0, [1.0], 2, RandomSource(1)),
+     "need a finite theta > 0, a finite horizon > 0, a finite mutation mass theta * horizon, "
+     "reps >= 2"),
     ("window-eps-at-support-top",
      lambda: sample_cpp_fixed_width(GRID, 1.0, 1.0, RandomSource(1)),
      "need 0 <= eps < support_top"),

@@ -5,13 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from ultracomb import (Comb, FrequencySpectrum, MutationSet, ORIGIN_BRANCH,
-                       Partition, RandomSource, ValidationError,
+from ultracomb import (Comb, FrequencySpectrum, IntensityModel, MutationMeasure, MutationSet,
+                       ORIGIN_BRANCH, Partition, RandomSource, ResourceError, ValidationError,
                        esf_probability, expected_sample_spectrum,
                        gem_ranked_oracle, integer_partition_counts,
                        normalized_tail_spectrum, population_spectrum,
                        sample_esf_spectra, sample_kingman_allelic_partition,
                        spectrum_of_partition)
+from ultracomb.spectrum import _band_comb
+
+from reference_population import (critical_bd_rain, full_brownian_rain, pruned,
+                                   replicate_statistics)
 
 EXAMPLE = Comb(1.0, 4.0, [0.2, 0.5, 0.8], [3.0, 1.0, 2.0])
 
@@ -281,3 +285,52 @@ def test_normalized_tail_spectrum_checks_theta_and_eps_before_any_draw(monkeypat
     monkeypatch.setattr("ultracomb.spectrum._tail_spectrum_replicate", no_replicate)
     with pytest.raises(ValidationError):
         normalized_tail_spectrum(model, theta, 10.0, [1.0], 4, RandomSource(50), eps=eps)
+
+
+# ----------------------------------------------------------------------
+# the band sampler of Brownian population replicates
+
+@pytest.mark.parametrize("model, eps", [("brownian", 1e-2), ("brownian", 1e-3),
+                                        ("critical-bd", None)])
+def test_teeth_without_atoms_or_clade_stops_leave_the_spectrum_unchanged(model, eps):
+    for r in range(6):
+        rng = RandomSource(2300).spawn(r)
+        if model == "critical-bd":
+            comb, ms = critical_bd_rain(1.0, 50.0, rng)
+        else:
+            comb, ms = full_brownian_rain(1.0, 50.0, eps, rng)
+        small, small_ms = pruned(comb, ms)
+        assert small.n_teeth < comb.n_teeth or model == "critical-bd"
+        assert len(small_ms) == len(ms)
+        assert population_spectrum(small, small_ms).masses == population_spectrum(comb, ms).masses
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_band_sampler_matches_the_full_comb_in_law(eps):
+    """Same seeds, so the widths agree bit for bit; every other statistic
+    is compared by its mean paired difference, within 4 standard errors.
+    Summed carrier masses nearly always equal the width, so their paired
+    differences are rounding noise: a 1e-9 floor on the error covers it."""
+    qs, reps = np.array([0.5, 1.0, 2.0, 4.0]), 800
+    model, measure = IntensityModel.brownian(mass_scale=1.0), MutationMeasure.homogeneous(1.0)
+    full = np.array([replicate_statistics(*full_brownian_rain(1.0, 50.0, eps,
+                                                              RandomSource(2400).spawn(r)), qs)
+                     for r in range(reps)])
+    band = np.array([replicate_statistics(*_band_comb(model, measure, 50.0, eps,
+                                                      RandomSource(2400).spawn(r).gen), qs)
+                     for r in range(reps)])
+    assert np.array_equal(band[:, 0], full[:, 0])
+    diff = band[:, 1:] - full[:, 1:]  # alleles, tails at each q, summed carrier mass
+    se = np.maximum(diff.std(axis=0, ddof=1) / math.sqrt(reps), 1e-9)
+    assert np.all(np.abs(diff.mean(axis=0)) <= 4.0 * se), (diff.mean(axis=0), se)
+    assert full[:, 1].mean() > 200 and full[:, 5].mean() > 0.1  # the statistics are not empty
+
+
+def test_band_sampler_keeps_positions_distinct_or_raises():
+    model, measure = IntensityModel.brownian(mass_scale=1.0), MutationMeasure.homogeneous(1.0)
+    comb, ms = _band_comb(model, measure, 50.0, 1e-9, RandomSource(2500).gen)
+    assert comb.n_teeth < 10 ** 4 and len(ms) > 0
+    # below the float spacing of positions near the width, regions stop
+    # shrinking; the collision guard stops the ladder instead of growing it
+    with pytest.raises(ResourceError, match="distinct interior positions"):
+        _band_comb(model, measure, 5.0, 1e-300, RandomSource(1).spawn(0).gen)

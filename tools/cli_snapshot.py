@@ -87,6 +87,10 @@ COMMANDS = {
                                       "--model", "cpp-critical-bd", "--theta", "1",
                                       "--T", "20", "--q", "1", "--q", "2", "--reps", "20",
                                       "--seed", "9", "--jobs", "2"],
+    "spectrum-population-brownian.csv": ["spectrum", "--mode", "population",
+                                         "--model", "cpp-brownian", "--theta", "1",
+                                         "--T", "20", "--q", "1", "--q", "2", "--reps", "20",
+                                         "--seed", "9"],
     "solve-w.csv": ["solve-w", "--model", "bd", "--b", "2", "--death-rate", "1",
                     "--T", "1", "--steps", "500"],
     "solve-w-spec.csv": ["solve-w", "--model-spec", "model-fixed.json"],
