@@ -212,8 +212,8 @@ class BoundaryPoint:
     def __post_init__(self):
         if self.face not in _FACES:
             raise ValidationError(f"face must be 'left' or 'right', got {self.face!r}")
-        if self.position < 0.0:
-            raise ValidationError("position must be nonnegative")
+        if not self.position >= 0.0:  # NaN-safe
+            raise ValidationError(f"position must be nonnegative, got {self.position}")
         if self.position == 0.0 and self.face == "left":
             raise ValidationError("the left face at position 0 is identified with the origin")
 

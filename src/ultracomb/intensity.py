@@ -199,6 +199,8 @@ class IntensityModel:
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape or times.size < 2:
             raise ValidationError("grid model needs matching 1-d arrays of length >= 2")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise ValidationError("grid times and scale values must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValidationError("grid times must be increasing")
         if np.any(values <= 0):

@@ -16,7 +16,7 @@ from .intensity import IntensityModel
 from .mutation import (ORIGIN_BRANCH, MutationMeasure, MutationSet, _clade_forest,
                        assign_alleles, scatter_mutations)
 from .rng import RandomSource
-from .sampling import _killed_tails, _tail_heights, sample_kingman_comb
+from .sampling import _distinct_uniforms, _killed_tails, _tail_heights, sample_kingman_comb
 
 __all__ = [
     "FrequencySpectrum",
@@ -106,7 +106,7 @@ def esf_probability(theta: float, counts: Sequence[int]) -> float:
 
 def integer_partition_counts(n: int) -> Iterator[tuple[int, ...]]:
     """All spectra of partitions of n, as count vectors (a_1, ..., a_n)."""
-    if n < 1:
+    if _integer("n", n) < 1:
         raise ValidationError("n must be at least 1")
 
     def rec(remaining: int, largest: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
@@ -127,6 +127,7 @@ _EXACT_LIMIT = 12
 def expected_sample_spectrum(theta: float, n: int, k: int) -> float:
     """Exact mean number of alleles carried by k of n individuals, by
     exhaustive summation over integer partitions (n <= 12)."""
+    n, k = _integer("n", n), _integer("k", k)
     if not 1 <= k <= n:
         raise ValidationError("need 1 <= k <= n")
     if n > _EXACT_LIMIT:
@@ -297,9 +298,8 @@ def _band_comb(model: IntensityModel, measure: MutationMeasure, horizon: float, 
     heights = _tail_heights(model, gen, band.size, nu_t[band], nu_b[band], tops[band])
     mass = measure.cumulative(heights)
     keep = gen.random(band.size) * cap[band] < -np.expm1(-mass)
-    raw = width * gen.random(np.count_nonzero(keep))
-    order = np.argsort(raw)
-    pos, hgt, mass = raw[order], heights[keep][order], mass[keep][order]
+    pos, order = _distinct_uniforms(gen, np.count_nonzero(keep), width)
+    hgt, mass = heights[keep][order], mass[keep][order]
     n = pos.size
     # in mass coordinates: a marked tooth's first atom, then a rain above it (origin: above 0)
     first = -np.log1p(gen.random(n) * np.expm1(-mass))

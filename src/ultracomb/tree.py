@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _integer
 
 __all__ = ["TreeNode", "Tree", "parse_newick"]
 
@@ -131,6 +131,8 @@ class Tree:
         walk down the preorder then writes each node's label and length
         once the subtree below it is closed.
         """
+        if _integer("digits", digits) < 0:
+            raise ValidationError(f"digits must be nonnegative, got {digits}")
         parent, labels = self._parent.tolist(), self._labels
         lengths = map(format, (self._depth[1:] - self._depth[self._parent[1:]]).tolist(),
                       repeat(f".{digits}g"))

@@ -445,5 +445,9 @@ def test_cli_snapshot_tool_writes_every_command(tmp_path):
     spec = importlib.util.spec_from_file_location("cli_snapshot", script)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    for name in [*tool.COMMANDS, "ultrametric.json", "clades.json"]:
+    for name in [*tool.COMMANDS, "ultrametric.json", "clades.json", "band.json"]:
         assert (tmp_path / name).stat().st_size > 0, name
+    # the band sampler's draws reload bit for bit, and none is empty
+    band = json.loads((tmp_path / "band.json").read_text())
+    assert band == tool.band_draws() and len(band) == 6
+    assert all(d["comb"]["teeth"] and d["mutations"] for d in band.values())

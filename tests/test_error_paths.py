@@ -41,6 +41,10 @@ CASES = [
      "masses must be positive and finite"),
     ("boundary-point-face", lambda: BoundaryPoint(0.5, "up"),
      "face must be 'left' or 'right', got 'up'"),
+    ("boundary-point-negative", lambda: BoundaryPoint(-0.5),
+     "position must be nonnegative, got -0.5"),
+    ("boundary-point-nan", lambda: BoundaryPoint(math.nan),
+     "position must be nonnegative, got nan"),
     ("contour-empty", lambda: _contour([], [], []), "a contour needs at least one jump"),
     ("contour-unequal", lambda: _contour([0.0], [0.0, 1.0], [1.0]),
      "times, before and after must have equal length"),
@@ -59,6 +63,14 @@ CASES = [
      "grid times must be increasing"),
     ("grid-values", lambda: IntensityModel.from_scale_grid([0.0, 1.0], [0.0, 1.0]),
      "scale values must be positive"),
+    ("grid-nan-time",
+     lambda: IntensityModel.from_scale_grid([0.0, math.nan, 2.0], [1.0, 2.0, 3.0]),
+     "grid times and scale values must be finite"),
+    ("grid-nan-value",
+     lambda: IntensityModel.from_scale_grid([0.0, 1.0, 2.0], [1.0, math.nan, 3.0]),
+     "grid times and scale values must be finite"),
+    ("grid-infinite-value", lambda: IntensityModel.from_scale_grid([0.0, 1.0], [1.0, math.inf]),
+     "grid times and scale values must be finite"),
     ("grid-decreasing", lambda: IntensityModel.from_scale_grid([0.0, 1.0], [2.0, 1.0]),
      "scale grid is not nondecreasing; 1/W would not be a tail"),
     ("tail-increasing",
@@ -93,7 +105,21 @@ CASES = [
     ("population-sample-size", lambda: FrequencySpectrum(masses=(0.5,)).sample_size,
      "population spectra have no sample size"),
     ("partitions-of-zero", lambda: list(integer_partition_counts(0)), "n must be at least 1"),
+    ("partitions-of-float", lambda: list(integer_partition_counts(2.5)),
+     "n must be an integer, got 2.5"),
+    ("partitions-of-integral-float", lambda: list(integer_partition_counts(3.0)),
+     "n must be an integer, got 3.0"),
+    ("partitions-of-bool", lambda: list(integer_partition_counts(True)),
+     "n must be an integer, got True"),
     ("expected-k-above-n", lambda: expected_sample_spectrum(1.0, 3, 4), "need 1 <= k <= n"),
+    ("expected-n-float", lambda: expected_sample_spectrum(1.0, 3.0, 1),
+     "n must be an integer, got 3.0"),
+    ("expected-k-float", lambda: expected_sample_spectrum(1.0, 3, 1.5),
+     "k must be an integer, got 1.5"),
+    ("newick-digits-negative", lambda: comb_to_tree(COMB).newick(-1),
+     "digits must be nonnegative, got -1"),
+    ("newick-digits-float", lambda: comb_to_tree(COMB).newick(1.5),
+     "digits must be an integer, got 1.5"),
     ("padic-depth-zero", lambda: padic_comb(2, 0), "depth must be at least 1"),
     ("rescale-eps-zero", lambda: rescale_comb(COMB, 0.0), "eps must be in (0, 1]"),
     ("rescale-eps-above-one", lambda: rescale_comb(COMB, 1.5), "eps must be in (0, 1]"),

@@ -8,12 +8,13 @@ import pytest
 from scipy import stats
 
 from ultracomb import (BoundaryPoint, Comb, ExponentialLifetime, FixedLifetime,
-                       Immortal, IntensityModel, PopulationModel, RandomSource,
+                       Immortal, IntensityModel, PopulationModel, RandomSource, ResourceError,
                        Tree, TreeNode, ValidationError, comb_distance, padic_comb,
                        parse_newick, reduce_population_tree, rescale_comb,
                        sample_cpp, sample_cpp_fixed_width, sample_kingman_comb,
                        sample_splitting_tree, solve_scale_function,
                        unrescale_comb)
+from ultracomb.sampling import _distinct_uniforms
 
 from reference_tree import (reference_reduce_population_tree,
                             reference_sample_splitting_tree)
@@ -69,6 +70,26 @@ def test_replicate_index_must_be_an_integer():
 
 # ----------------------------------------------------------------------
 # exchangeable-coalescent comb
+
+class Draws:
+    """A generator stub whose ``random`` returns the given draws in turn."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, size):
+        return np.array(self.draws.pop(0), dtype=float)
+
+
+def test_distinct_uniforms_redraws_collisions_and_returns_the_sort_order():
+    gen = Draws([0.5, 0.5, 0.25], [0.0, 0.75, 0.5], [0.75, 0.25, 0.5])
+    positions, order = _distinct_uniforms(gen, 3, 2.0)
+    assert positions.tolist() == [0.5, 1.0, 1.5] and order.tolist() == [1, 2, 0]
+    assert not gen.draws
+    assert [a.size for a in _distinct_uniforms(Draws(), 0, 1.0)] == [0, 0]
+    with pytest.raises(ResourceError, match="^could not draw distinct interior positions$"):
+        _distinct_uniforms(Draws(*[[0.5, 0.5]] * 8), 2, 1.0)
+
 
 def test_kingman_tooth_count_must_be_an_integer():
     assert sample_kingman_comb(np.int64(10), RandomSource(1)) == sample_kingman_comb(10, RandomSource(1))

@@ -12,7 +12,7 @@ from ultracomb import (Comb, FrequencySpectrum, IntensityModel, MutationMeasure,
                        normalized_tail_spectrum, population_spectrum,
                        sample_esf_spectra, sample_kingman_allelic_partition,
                        spectrum_of_partition)
-from ultracomb.spectrum import _band_comb
+from ultracomb.spectrum import _BAND_RATIO, _band_comb
 
 from reference_population import (critical_bd_rain, full_brownian_rain, pruned,
                                    replicate_statistics)
@@ -324,6 +324,82 @@ def test_band_sampler_matches_the_full_comb_in_law(eps):
     se = np.maximum(diff.std(axis=0, ddof=1) / math.sqrt(reps), 1e-9)
     assert np.all(np.abs(diff.mean(axis=0)) <= 4.0 * se), (diff.mean(axis=0), se)
     assert full[:, 1].mean() > 200 and full[:, 5].mean() > 0.1  # the statistics are not empty
+
+
+def band_region_counts(comb, ms, tops, bottoms):
+    """Per band [b, t): the unmarked teeth of height in it, and the summed
+    length of the regions rebuilt from the output.  A branch is active at
+    t if it is the origin or a tooth whose shallowest atom has depth < t;
+    its region runs to the first tooth of height >= t on its right.
+    Asserts that every such unmarked tooth lies in a region."""
+    pos, hgt, width = comb.positions, comb.heights, comb.interval_length
+    tooth = ms.branch != ORIGIN_BRANCH
+    shallowest = np.full(comb.n_teeth, math.inf)
+    np.minimum.at(shallowest, ms.branch[tooth], ms.depth[tooth])
+    counts, lengths = [], []
+    for top, bottom in zip(tops, bottoms):
+        x = np.append(0.0, pos[shallowest < top])
+        tall = np.append(pos[hgt >= top], width)
+        end = tall[np.searchsorted(tall, x, side="right")]
+        # the union of the intervals [x, end), sorted by start
+        reach = np.maximum.accumulate(end)
+        lengths.append(np.sum(np.maximum(end - np.maximum(x, np.append(0.0, reach[:-1])), 0.0)))
+        p = pos[~np.isfinite(shallowest) & (hgt >= bottom) & (hgt < top)]
+        assert np.all(p < reach[np.searchsorted(x, p, side="right") - 1]), top
+        counts.append(p.size)
+    return np.array(counts), np.array(lengths)
+
+
+def test_band_sampler_draws_unmarked_teeth_in_its_regions():
+    """Unmarked teeth of a band are Poisson on its regions given what was
+    drawn before them, with intensity exp(-h) h^-2 dh (theta 1, tail 1/h):
+    their count sums to the regions' length times its integral, within
+    4 sd over all bands and 5 sd in each."""
+    from scipy.special import exp1
+
+    horizon, eps, reps = 50.0, 1e-3, 200
+    model, measure = IntensityModel.brownian(mass_scale=1.0), MutationMeasure.homogeneous(1.0)
+    tops = horizon * _BAND_RATIO ** -np.arange(20.0)
+    tops = tops[tops > eps]
+    bottoms = np.maximum(tops / _BAND_RATIO, eps)
+    rate = (np.exp(-bottoms) / bottoms - np.exp(-tops) / tops
+            + exp1(tops) - exp1(bottoms))  # of exp(-h) h^-2 dh over [b, t)
+    counts, lengths = map(sum, zip(*(
+        band_region_counts(*_band_comb(model, measure, horizon, eps,
+                                       RandomSource(2600).spawn(r).gen), tops, bottoms)
+        for r in range(reps))))
+    mean = lengths * rate
+    z = (counts - mean) / np.sqrt(mean)
+    assert tops.size == 8 and counts.sum() > 10 ** 5
+    assert abs((counts.sum() - mean.sum()) / math.sqrt(mean.sum())) <= 4.0, (counts, mean)
+    assert np.all(np.abs(z) <= 5.0), z
+
+
+class CollidingMarks:
+    """A generator whose third uniform draw, the band sampler's marked
+    positions, repeats its first value."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, 0
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+    def random(self, size):
+        self.calls += 1
+        u = self.gen.random(size)
+        if self.calls == 3:
+            u[1] = u[0]
+        return u
+
+
+def test_band_sampler_redraws_colliding_marked_positions():
+    # a collision among marked teeth is redrawn with them, not left to
+    # fail every band's merge check
+    model, measure = IntensityModel.brownian(mass_scale=1.0), MutationMeasure.homogeneous(1.0)
+    gen = CollidingMarks(RandomSource(7).gen)
+    comb, ms = _band_comb(model, measure, 20.0, 1e-2, gen)
+    assert len(set(ms.branch.tolist()) - {ORIGIN_BRANCH}) > 1 and gen.calls > 4
 
 
 def test_band_sampler_keeps_positions_distinct_or_raises():

@@ -11,13 +11,15 @@ fixed seed and small sizes (a few seconds in total).  The commands run
 inside OUTDIR with relative paths, so the configurations embedded in
 the outputs do not depend on where OUTDIR is.
 
-Two files come from library calls instead.  No CLI command rebuilds an
+Three files come from library calls instead.  No CLI command rebuilds an
 ultrametric, so ``ultrametric.json`` holds the comb and placements
 ``comb_from_ultrametric`` returns for three seeded matrices.  No CLI
 command prints clades, carrier masses or clonal intervals, so
 ``clades.json`` holds the clade bounds, ``population_spectrum`` masses,
 ``clonal_set`` intervals and ``assign_alleles`` labels of three seeded
-combs with their mutation rain.
+combs with their mutation rain.  The population CSVs print rounded
+estimates, so ``band.json`` holds the comb and rain of the Brownian band
+sampler, ``_band_comb``, for three seeds at each of two eps, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from ultracomb import (IntensityModel, MutationMeasure, RandomSource, assign_all
                        clonal_set, comb_from_ultrametric, population_spectrum, sample_cpp,
                        sample_cpp_fixed_width, sample_kingman_comb, scatter_mutations)
 from ultracomb.cli import main
+from ultracomb.spectrum import _band_comb
 
 MODEL_SPEC = {"birth_rate": 2.0, "lifetime": "exponential(1)", "T": 1.5, "steps": 400}
 # a fixed lifetime takes the solver's step-by-step loop, not the scan
@@ -160,6 +163,19 @@ def clade_readings() -> dict:
     return out
 
 
+def band_draws() -> dict:
+    """``to_dict`` of the comb and ``to_list`` of the rain that the Brownian
+    population replicate draws at T = 20 and theta = 1, for three seeds at
+    each of two eps (JSON floats round-trip)."""
+    model, measure = IntensityModel.brownian(1.0), MutationMeasure.homogeneous(1.0)
+    out = {}
+    for eps in (1e-2, 1e-3):
+        for seed in (51, 52, 53):
+            comb, ms = _band_comb(model, measure, 20.0, eps, RandomSource(seed).gen)
+            out[f"eps-{eps:g}-seed-{seed}"] = {"comb": comb.to_dict(), "mutations": ms.to_list()}
+    return out
+
+
 def snapshot(outdir: str) -> int:
     """Run every command into ``outdir``; return the number that failed."""
     os.makedirs(outdir, exist_ok=True)
@@ -180,6 +196,8 @@ def snapshot(outdir: str) -> int:
             json.dump(ultrametric_rebuilds(), fh, sort_keys=True)
         with open("clades.json", "w") as fh:
             json.dump(clade_readings(), fh, sort_keys=True)
+        with open("band.json", "w") as fh:
+            json.dump(band_draws(), fh, sort_keys=True)
     finally:
         os.chdir(cwd)
     return failed
