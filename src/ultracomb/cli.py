@@ -5,7 +5,8 @@ reproducible experiments with machine-readable outputs.  Every
 stochastic run requires a seed; outputs embed the full configuration so
 a run can be reproduced from its own header.  Replicates are sharded
 across ``--jobs`` workers with per-replicate streams derived from the
-seed, so results do not depend on the job count.
+seed (population mode: one stream per block of replicates, and shards
+cut on block boundaries), so results do not depend on the job count.
 
 Exit codes: 0 ok, 2 validation, 3 numeric/resource (memory exhaustion
 and arrays numpy refuses as too big included), 4 I/O.
@@ -33,8 +34,9 @@ from .mutation import MutationMeasure, scatter_mutations
 from .rng import RandomSource
 from .sampling import (padic_comb, reduce_population_tree, sample_cpp,
                        sample_kingman_comb, sample_splitting_tree)
-from .spectrum import (_check_tail_spectrum, _tail_spectrum_replicate, _tail_spectrum_rows,
-                       sample_kingman_allelic_partition, spectrum_of_partition)
+from .spectrum import (_POP_BLOCK, _check_tail_spectrum, _tail_spectrum_blocks,
+                       _tail_spectrum_rows, sample_kingman_allelic_partition,
+                       spectrum_of_partition)
 
 CPP_MODELS = ("cpp-brownian", "cpp-critical-bd", "cpp-from-W")
 STOCHASTIC_MODELS = {"kingman", *CPP_MODELS, "splitting"}
@@ -120,11 +122,11 @@ def _shard(reps: int, jobs: int) -> list[range]:
     return [range(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
-def _run_sharded(worker, args) -> list:
-    """Run worker(args, shard) over args.jobs shards of range(args.reps); merge in order."""
-    shards = _shard(args.reps, args.jobs)
+def _run_sharded(worker, args, count: int) -> list:
+    """Run worker(args, shard) over args.jobs shards of range(count); merge in order."""
+    shards = _shard(count, args.jobs)
     if len(shards) <= 1:
-        return worker(args, range(args.reps))
+        return worker(args, range(count))
     from concurrent.futures import ProcessPoolExecutor  # late: multiprocessing slows imports
     with ProcessPoolExecutor(max_workers=len(shards)) as pool:
         return [out for part in pool.map(worker, [args] * len(shards), shards) for out in part]
@@ -165,7 +167,7 @@ def cmd_sample(args) -> int:
         _require_seed(args)
         if args.reps < 0:
             raise ValidationError(f"--reps must be nonnegative, got {args.reps}")
-        results = _run_sharded(_sample_worker, args)
+        results = _run_sharded(_sample_worker, args, args.reps)
     cfg = _config_dict(args, ["model", "T", "eps", "seed", "reps", "n_teeth",
                               "p", "depth", "b", "lifetime", "jobs"])
     _write_text(args.out, json.dumps({"config": cfg, "results": results}, sort_keys=True))
@@ -212,10 +214,9 @@ def _spectrum_worker(args, replicates: range) -> list[np.ndarray]:
     return out
 
 
-def _population_worker(args, replicates: range) -> list[tuple[float, np.ndarray]]:
-    root, model = RandomSource(args.seed), args.model.removeprefix("cpp-")
-    return [_tail_spectrum_replicate(model, args.theta, args.T, args.eps, args.q, root.spawn(r))
-            for r in replicates]
+def _population_worker(args, blocks: range) -> list[tuple[np.ndarray, np.ndarray]]:
+    return _tail_spectrum_blocks(args.model.removeprefix("cpp-"), args.theta, args.T, args.eps,
+                                 args.q, args.reps, RandomSource(args.seed), blocks)
 
 
 def cmd_spectrum(args) -> int:
@@ -228,7 +229,7 @@ def cmd_spectrum(args) -> int:
             raise ValidationError(f"sample mode needs --reps >= 1, got {args.reps}")
         if args.n_teeth is None:
             args.n_teeth = max(64, 50 * args.n)
-        spectra = _run_sharded(_spectrum_worker, args)
+        spectra = _run_sharded(_spectrum_worker, args, args.reps)
         totals = np.sum(spectra, axis=0)
         cfg = _config_dict(args, ["mode", "model", "theta", "n", "reps", "seed",
                                   "n_teeth", "jobs"])
@@ -241,8 +242,9 @@ def cmd_spectrum(args) -> int:
             raise ValidationError("population mode needs --model cpp-critical-bd or cpp-brownian")
         model = args.model.removeprefix("cpp-")
         _check_tail_spectrum(model, args.theta, args.T, args.eps, args.q, args.reps)
-        replicates = _run_sharded(_population_worker, args)
-        rows = _tail_spectrum_rows(model, args.theta, args.q, replicates)
+        # shards cut on block boundaries, so the output does not depend on --jobs
+        blocks = _run_sharded(_population_worker, args, -(-args.reps // _POP_BLOCK))
+        rows = _tail_spectrum_rows(model, args.theta, args.q, blocks)
         cfg = _config_dict(args, ["mode", "model", "theta", "T", "eps", "q",
                                   "reps", "seed", "jobs"])
         lines.append("# config: " + json.dumps(cfg, sort_keys=True))

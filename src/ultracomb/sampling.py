@@ -55,17 +55,21 @@ class CppSample:
         return self.comb.interval_length
 
 
-def _distinct_uniforms(gen, n: int, width: float) -> tuple[np.ndarray, np.ndarray]:
-    """n sorted distinct uniforms on (0, width), and the order that sorts
-    the accepted draw, to carry marks drawn with it; collisions trigger a redraw."""
+def _distinct_uniforms(gen, n: int, width: float, *marks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """n sorted distinct uniforms on (0, width), then each of ``marks``
+    (n values drawn with them) carried into their order; collisions
+    trigger a redraw.  Without marks the draw is sorted in place."""
     if n == 0:
-        return np.empty(0), np.empty(0, dtype=np.intp)
+        return (np.empty(0), *marks)
     for _ in range(8):
         pos = width * gen.random(n)
-        order = np.argsort(pos)
-        pos = pos[order]
+        if marks:
+            order = np.argsort(pos)
+            pos = pos[order]
+        else:
+            pos.sort()
         if pos[0] > 0.0 and np.all(pos[1:] > pos[:-1]):
-            return pos, order
+            return (pos, *(m[order] for m in marks))
     raise ResourceError("could not draw distinct interior positions")
 
 
@@ -85,8 +89,8 @@ def sample_kingman_comb(n_teeth: int, rng: RandomSource) -> Comb:
     ks = np.arange(2, n_teeth + 2, dtype=float)
     waits = gen.exponential(2.0 / (ks * (ks - 1.0)))
     heights_by_rank = np.cumsum(waits[::-1])[::-1] + 2.0 / (n_teeth + 1)
-    positions, order = _distinct_uniforms(gen, n_teeth, 1.0)
-    return Comb(1.0, float(heights_by_rank[0]) + 1.0, positions, heights_by_rank[order])
+    positions, heights = _distinct_uniforms(gen, n_teeth, 1.0, heights_by_rank)
+    return Comb(1.0, float(heights_by_rank[0]) + 1.0, positions, heights)
 
 
 def _tail_heights(model: IntensityModel, gen, count: int, nu_lo: float | np.ndarray,
@@ -130,7 +134,7 @@ def _killed_comb(model: IntensityModel, horizon: float, eps: float, gen
     width = gen.exponential(1.0 / nu_top)
     count = int(gen.poisson(width * (nu_eps - nu_top)))
     heights = _tail_heights(model, gen, count, nu_top, nu_eps, horizon)
-    positions, _ = _distinct_uniforms(gen, count, width)
+    positions, = _distinct_uniforms(gen, count, width)
     return Comb(width, horizon, positions, heights), nu_top
 
 
@@ -181,7 +185,7 @@ def sample_cpp_fixed_width(model: IntensityModel, width: float, eps: float,
     gen = rng.gen
     count = int(gen.poisson(width * (nu_eps - nu_top)))
     heights = _tail_heights(model, gen, count, nu_top, nu_eps, top)
-    positions, _ = _distinct_uniforms(gen, count, width)
+    positions, = _distinct_uniforms(gen, count, width)
     origin = float(heights.max()) + 1.0 if count else 1.0
     return Comb(width, origin, positions, heights)
 

@@ -13,10 +13,10 @@ import numpy as np
 from .comb import Comb, Partition
 from .errors import ResourceError, ValidationError, _integer
 from .intensity import IntensityModel
-from .mutation import (ORIGIN_BRANCH, MutationMeasure, MutationSet, _clade_forest,
-                       assign_alleles, scatter_mutations)
+from .mutation import (MutationMeasure, MutationSet, _clade_forest, assign_alleles,
+                       scatter_mutations)
 from .rng import RandomSource
-from .sampling import _distinct_uniforms, _killed_tails, _tail_heights, sample_kingman_comb
+from .sampling import _killed_tails, _tail_heights, sample_kingman_comb
 
 __all__ = [
     "FrequencySpectrum",
@@ -105,7 +105,8 @@ def esf_probability(theta: float, counts: Sequence[int]) -> float:
 
 
 def integer_partition_counts(n: int) -> Iterator[tuple[int, ...]]:
-    """All spectra of partitions of n, as count vectors (a_1, ..., a_n)."""
+    """All spectra of partitions of n, as count vectors (a_1, ..., a_n);
+    n is checked at the call, before the first one is asked for."""
     if _integer("n", n) < 1:
         raise ValidationError("n must be at least 1")
 
@@ -118,7 +119,7 @@ def integer_partition_counts(n: int) -> Iterator[tuple[int, ...]]:
             yield from rec(remaining - part, part, acc)
             acc[part - 1] -= 1
 
-    yield from rec(n, n, [0] * n)
+    return rec(n, n, [0] * n)
 
 
 _EXACT_LIMIT = 12
@@ -207,6 +208,13 @@ def population_spectrum(comb: Comb, mutations: MutationSet) -> FrequencySpectrum
     clade minus the clades of shallower atoms; atoms overwritten
     everywhere contribute nothing, and the clonal remainder is not an
     allele of the mutation measure.
+    """
+    _, carriers = _carriers(comb, mutations)
+    return FrequencySpectrum(masses=tuple(carriers[carriers > 0.0].tolist()))
+
+
+def _carriers(comb: Comb, mutations: MutationSet) -> tuple[np.ndarray, np.ndarray]:
+    """Start and carrier measure (possibly 0) of each distinct clade, in preorder.
 
     Clades are laminar and strictly nested clades are strictly
     shallower, so the carriers of a distinct clade are its length minus
@@ -220,7 +228,7 @@ def population_spectrum(comb: Comb, mutations: MutationSet) -> FrequencySpectrum
     carriers = length.copy()
     child = np.flatnonzero(parent >= 0)
     np.subtract.at(carriers, parent[child], length[child])
-    return FrequencySpectrum(masses=tuple(carriers[carriers > 0.0].tolist()))
+    return start, carriers
 
 
 def gem_ranked_oracle(theta: float, depth: int, reps: int, rng: RandomSource) -> np.ndarray:
@@ -271,100 +279,167 @@ def _check_tail_spectrum(model_name: str, theta: float, horizon: float, eps: flo
 
 
 _BAND_RATIO = 4.0  # between the tops of consecutive height bands in _band_comb
+# population replicates drawn side by side in one comb, from one stream
+_POP_BLOCK = 8
+
+
+def _lay_out(widths: np.ndarray) -> tuple[np.ndarray, float]:
+    """Replicates of these widths side by side after a lead gap [0, 1):
+    the position where each one starts (its origin), and the block's end."""
+    origins = np.cumsum(np.append(1.0, widths[:-1]))
+    return origins, float(origins[-1] + widths[-1])
+
+
+def _insert_in_regions(gen, edges: np.ndarray, hgt: np.ndarray, x: np.ndarray,
+                       length: np.ndarray, h: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Teeth of heights ``h`` at uniform positions on the union of the
+    disjoint intervals [x, x + length), merged into the sorted teeth
+    (edges, hgt): the new positions, sorted, and the merged arrays.
+
+    The uniforms are sorted first, so their map to positions is monotone
+    and one ``searchsorted`` places them; a position that repeats another
+    or meets a tooth already drawn redraws them all, up to 8 times.
+    """
+    cum = np.cumsum(length)
+    for _ in range(8):
+        u = np.sort(cum[-1] * gen.random(h.size))
+        k = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+        new = x[k] + (u - (cum[k] - length[k]))
+        at = np.minimum(np.searchsorted(edges, new), edges.size - 1)
+        if np.all(edges[at] > new) and np.all(new[1:] > new[:-1]):
+            return new, np.insert(edges, at, new), np.insert(hgt, at, h)
+    raise ResourceError("could not draw distinct interior positions")
 
 
 def _band_comb(model: IntensityModel, measure: MutationMeasure, horizon: float, eps: float,
-               gen) -> tuple[Comb, MutationSet]:
-    """A killed comb's rain, origin included, on the teeth its clades read.
+               size: int, gen) -> tuple[Comb, MutationSet]:
+    """``size`` killed combs side by side and their rain, origins included,
+    on the teeth their clades read.
 
-    Teeth with and without atoms (probability 1 - exp(-M(h)) at height h)
-    are independent Poisson processes.  On the bands [b, t) of the ladder
-    horizon, horizon/4, ... down to eps, marked teeth are thinned proposals
-    over the whole width.  Unmarked ones are drawn from the top band down,
-    only from the origin and each tooth with an atom shallower than t to
-    the first tooth of height >= t on its right: no other one ends a clade,
-    and the taller teeth there were drawn in earlier bands.  The width is
-    drawn first, as in ``_killed_comb``.
+    The widths are drawn first, as in ``_killed_comb``, and laid out by
+    ``_lay_out``: replicate k's origin is a tooth of height ``horizon``,
+    taller than every atom, that carries its origin atoms, so no clade
+    crosses into the next replicate.  Teeth with and without atoms
+    (probability 1 - exp(-M(h)) at height h) are independent Poisson
+    processes.  On the bands [b, t) of the ladder horizon, horizon/4, ...
+    down to eps, marked teeth are thinned proposals over every width.
+    Unmarked ones are drawn from the top band down, only from each origin
+    and each tooth with an atom shallower than t to the first tooth of
+    height >= t on its right: no other one ends a clade, and the taller
+    teeth there were drawn in earlier bands.
     """
     nu_top, _ = _killed_tails(model, horizon, eps)
-    width = gen.exponential(1.0 / nu_top)
+    widths = gen.exponential(1.0 / nu_top, size)
+    origins, end = _lay_out(widths)
     n_bands = math.ceil((math.log(horizon) - math.log(eps)) / math.log(_BAND_RATIO))
     tops = horizon * _BAND_RATIO ** -np.arange(n_bands + 1.0)
     tops = tops[tops > eps]
     bottoms = np.maximum(tops / _BAND_RATIO, eps)
     nu_t, nu_b, m_b = model.tail(tops), model.tail(bottoms), measure.cumulative(bottoms)
     cap = np.minimum(measure.cumulative(tops), 1.0)  # bounds 1 - exp(-M(h)) on the band
-    band = np.repeat(np.arange(tops.size), gen.poisson(width * (nu_b - nu_t) * cap))
+    # proposals in random order, since sorted positions take the marks in draw order
+    band = gen.permutation(np.repeat(np.arange(tops.size),
+                                     gen.poisson(widths.sum() * (nu_b - nu_t) * cap)))
     heights = _tail_heights(model, gen, band.size, nu_t[band], nu_b[band], tops[band])
     mass = measure.cumulative(heights)
     keep = gen.random(band.size) * cap[band] < -np.expm1(-mass)
-    pos, order = _distinct_uniforms(gen, np.count_nonzero(keep), width)
-    hgt, mass = heights[keep][order], mass[keep][order]
+    mark_h, mass = heights[keep], mass[keep]
+    # every tooth drawn so far by position, between sentinels of infinite height at 0 and end
+    edges = np.concatenate(([0.0], origins, [end]))
+    hgt = np.concatenate(([math.inf], np.full(size, horizon), [math.inf]))
+    pos, edges, hgt = _insert_in_regions(gen, edges, hgt, origins, widths, mark_h)
     n = pos.size
-    # in mass coordinates: a marked tooth's first atom, then a rain above it (origin: above 0)
+    # in mass coordinates: a marked tooth's first atom, then a rain above it (origins: above 0)
     first = -np.log1p(gen.random(n) * np.expm1(-mass))
-    m_lo, m_hi = np.append(first, 0.0), np.append(mass, measure.cumulative(horizon))
-    more = np.repeat(np.arange(n + 1), gen.poisson(np.maximum(m_hi - m_lo, 0.0)))
+    m_lo = np.append(first, np.zeros(size))
+    m_hi = np.append(mass, np.full(size, measure.cumulative(horizon)))
+    more = np.repeat(np.arange(n + size), gen.poisson(np.maximum(m_hi - m_lo, 0.0)))
     branch = np.append(np.arange(n), more)
     atom_mass = np.append(first, m_lo[more] + gen.random(more.size) * (m_hi - m_lo)[more])
     depth = np.clip(measure.inverse(atom_mass), np.nextafter(0.0, 1.0),
-                    np.nextafter(np.append(hgt, horizon)[branch], 0.0))
-    # branches by position, the origin at 0 and always active, and their shallowest atoms
-    bx, bz = np.append(0.0, pos), np.append(-math.inf, depth[:n])
-    # every tooth drawn so far by position, between sentinels of infinite height at 0 and width
-    edges, hgt = np.concatenate((bx, [width])), np.concatenate(([math.inf], hgt, [math.inf]))
+                    np.nextafter(np.append(mark_h, np.full(size, horizon))[branch], 0.0))
+    # branches by position, origins always active, and their shallowest atoms
+    at = np.searchsorted(origins, pos)
+    bx, bz = np.insert(origins, at, pos), np.insert(np.full(size, -math.inf), at, depth[:n])
     for top, lo, hi, shift, rate in zip(tops, nu_t, nu_b, m_b, (nu_b - nu_t) * np.exp(-m_b)):
         x, tall = bx[bz < top], edges[hgt >= top]
-        end = tall[np.searchsorted(tall, x, side="right")]  # regions share ends or are disjoint
-        length = np.minimum(end, np.append(x[1:], width)) - x
-        cum = np.cumsum(length)
-        h = _tail_heights(model, gen, gen.poisson(cum[-1] * rate), lo, hi, top)
+        stop = tall[np.searchsorted(tall, x, side="right")]  # regions share ends or are disjoint
+        length = np.minimum(stop, np.append(x[1:], end)) - x
+        h = _tail_heights(model, gen, gen.poisson(length.sum() * rate), lo, hi, top)
         h = h[gen.random(h.size) < np.exp(shift - measure.cumulative(h))]
-        # distinct positions strictly inside the width, redrawn as in _distinct_uniforms
-        for _ in range(8):
-            u = cum[-1] * gen.random(h.size)
-            k = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
-            merged = np.concatenate((edges, x[k] + (u - (cum[k] - length[k]))))
-            order = merged.argsort(kind="stable")
-            merged = merged[order]
-            if merged[0] == 0.0 and merged[-1] == width and (merged[1:] > merged[:-1]).all():
-                break
-        else:
-            raise ResourceError("could not draw distinct interior positions")
-        edges, hgt = merged, np.concatenate((hgt, h))[order]
-    index = np.append(np.searchsorted(edges, bx[1:]) - 1, ORIGIN_BRANCH)  # branch n: the origin
-    return Comb(width, horizon, edges[1:-1], hgt[1:-1]), MutationSet(index[branch], depth)
+        _, edges, hgt = _insert_in_regions(gen, edges, hgt, x, length, h)
+    index = np.searchsorted(edges, np.append(pos, origins)) - 1  # each branch's tooth
+    return (Comb(end, np.nextafter(horizon, math.inf), edges[1:-1], hgt[1:-1]),
+            MutationSet(index[branch], depth))
 
 
-def _tail_spectrum_replicate(model_name: str, theta: float, horizon: float, eps: float,
-                             qs: Sequence[float], rng: RandomSource) -> tuple[float, np.ndarray]:
-    """Width of one killed genealogy and, per q, its number of alleles of carrier
-    measure exactly q (critical-bd: unit individuals, so sizes) or at least q (brownian)."""
-    gen = rng.gen
+def _critical_bd_block(measure: MutationMeasure, horizon: float, size: int,
+                       rng: RandomSource) -> tuple[Comb, MutationSet]:
+    """``size`` critical birth-death genealogies side by side and their rain.
+
+    Each has a geometric number of unit individuals, laid out by
+    ``_lay_out`` on one integer grid: replicate k's origin is the tooth
+    of height ``horizon`` at its start, so its origin rain has mass
+    M(horizon) as the origin of a single genealogy would, and the block's
+    own origin, above the lead gap, carries no atom.
+    """
+    model, gen = IntensityModel.critical_bd(), rng.gen
+    nu_top, nu_zero = model.tail(horizon), model.tail(0.0)
+    origins, end = _lay_out(gen.geometric(nu_top / nu_zero, size).astype(float))
+    heights = np.full(int(end) - 1, horizon)  # the teeth at 1, 2, ..., end - 1
+    inner = np.ones(heights.size, dtype=bool)
+    inner[origins.astype(np.int64) - 1] = False
+    heights[inner] = _tail_heights(model, gen, heights.size - size, nu_top, nu_zero, horizon)
+    comb = Comb(end, np.nextafter(horizon, math.inf), np.arange(1.0, end), heights)
+    return comb, scatter_mutations(comb, measure, False, rng)
+
+
+def _tail_spectrum_block(model_name: str, theta: float, horizon: float, eps: float,
+                         qs: Sequence[float], size: int, rng: RandomSource
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Widths of ``size`` killed genealogies drawn as one block and, per
+    replicate (rows) and q, their numbers of alleles of carrier measure
+    exactly q (critical-bd: unit individuals, so sizes) or at least q
+    (brownian).  Replicate k starts at the k-th tooth of height
+    ``horizon``, and one clade pass serves the block: each clade belongs
+    to the replicate its start lies in."""
     measure = MutationMeasure.homogeneous(theta)
     if model_name == "critical-bd":
-        model = IntensityModel.critical_bd()
-        nu_top, nu_zero = model.tail(horizon), model.tail(0.0)
-        n = int(gen.geometric(nu_top / nu_zero))
-        heights = _tail_heights(model, gen, n - 1, nu_top, nu_zero, horizon)
-        comb = Comb(float(n), horizon, np.arange(1, n, dtype=float), heights)
-        mutations = scatter_mutations(comb, measure, True, rng)
+        comb, mutations = _critical_bd_block(measure, horizon, size, rng)
     else:
-        comb, mutations = _band_comb(IntensityModel.brownian(1.0), measure, horizon, eps, gen)
-    masses = np.asarray(population_spectrum(comb, mutations).masses)[:, None]
-    hits = masses == np.asarray(qs) if model_name == "critical-bd" else masses >= np.asarray(qs)
-    return comb.interval_length, np.count_nonzero(hits, axis=0)
+        comb, mutations = _band_comb(IntensityModel.brownian(1.0), measure, horizon, eps,
+                                     size, rng.gen)
+    origins = comb.positions[comb.heights == horizon]
+    start, carriers = _carriers(comb, mutations)
+    qs = np.asarray(qs)
+    hits = carriers[:, None] == qs if model_name == "critical-bd" else carriers[:, None] >= qs
+    counts = np.zeros((size, qs.size), dtype=np.int64)
+    np.add.at(counts, np.searchsorted(origins, start, side="right") - 1, hits)
+    return np.diff(np.append(origins, comb.interval_length)), counts
+
+
+def _tail_spectrum_blocks(model_name: str, theta: float, horizon: float, eps: float,
+                          qs: Sequence[float], reps: int, rng: RandomSource,
+                          blocks: range) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Blocks ``blocks`` of ``reps`` replicates: block b holds replicates
+    ``b * _POP_BLOCK`` onward, ``_POP_BLOCK`` of them or the rest, drawn
+    from ``rng.spawn(b)``."""
+    return [_tail_spectrum_block(model_name, theta, horizon, eps, qs,
+                                 min(_POP_BLOCK, reps - b * _POP_BLOCK), rng.spawn(b))
+            for b in blocks]
 
 
 def _tail_spectrum_rows(model_name: str, theta: float, qs: Sequence[float],
-                        replicates: Sequence[tuple[float, np.ndarray]]) -> list[TailSpectrumRow]:
-    """Ratio estimates over ``(width, counts)`` replicates against the large-horizon limits."""
-    weights, counts = (np.array(column, dtype=float) for column in zip(*replicates))
+                        blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[TailSpectrumRow]:
+    """Ratio estimates over the ``(widths, counts)`` of blocks of replicates
+    against the large-horizon limits."""
+    weights, counts = (np.concatenate(column) for column in zip(*blocks))
     rows = []
     for j, q in enumerate(qs):
         est = counts[:, j].sum() / weights.sum()
         resid = counts[:, j] - est * weights
-        se = float(np.std(resid, ddof=1) / (weights.mean() * math.sqrt(len(replicates))))
+        se = float(np.std(resid, ddof=1) / (weights.mean() * math.sqrt(weights.size)))
         if model_name == "critical-bd":
             target = (theta / q) * (1.0 + theta) ** (-q)
         else:
@@ -380,11 +455,12 @@ def normalized_tail_spectrum(model_name: str, theta: float, horizon: float,
     """Per-capita allele counts of a killed genealogy against their
     large-horizon limits.
 
-    Each replicate reads the carrier measures of its alleles from
-    :func:`population_spectrum`.  For the critical birth-death model
-    the boundary is discrete and the estimate at integer q is the
-    per-individual number of alleles carried by exactly q survivors,
-    with limit (theta/q)(1+theta)^-q.  For the Brownian-type model
+    Replicates are drawn in blocks of ``_POP_BLOCK``, side by side in one
+    comb, and read the carrier measures of their alleles through the
+    clade pass of :func:`population_spectrum`.  For the critical
+    birth-death model the boundary is discrete and the estimate at
+    integer q is the per-individual number of alleles carried by exactly
+    q survivors, with limit (theta/q)(1+theta)^-q.  For the Brownian-type model
     (intensity tail 1/x) the estimate at q is the per-unit-width number
     of alleles of carrier measure at least q, with limit
     theta E1(theta q).  Every q must be positive and finite, and an
@@ -394,6 +470,5 @@ def normalized_tail_spectrum(model_name: str, theta: float, horizon: float,
     ratios of sums over replicates with a linearized standard error.
     """
     qs = _check_tail_spectrum(model_name, theta, horizon, eps, qs, reps)
-    return _tail_spectrum_rows(model_name, theta, qs, [
-        _tail_spectrum_replicate(model_name, theta, horizon, eps, qs, rng.spawn(r))
-        for r in range(reps)])
+    return _tail_spectrum_rows(model_name, theta, qs, _tail_spectrum_blocks(
+        model_name, theta, horizon, eps, qs, reps, rng, range(-(-reps // _POP_BLOCK))))

@@ -14,6 +14,7 @@ import pytest
 import ultracomb
 from ultracomb import Comb, ContourFunction, cli
 from ultracomb.cli import _shard, main
+from ultracomb.spectrum import _POP_BLOCK
 
 
 def run(tmp_path, *argv):
@@ -69,7 +70,7 @@ def test_spectrum_sample_mode_deterministic(tmp_path):
     assert sum(k * c for k, c in counts.items()) == 5 * 300
 
 
-def test_spectrum_jobs_invariance(tmp_path):
+def test_spectrum_jobs_invariance(tmp_path, monkeypatch):
     base = ["spectrum", "--mode", "sample", "--model", "kingman", "--n", "4",
             "--theta", "1", "--reps", "64", "--seed", "13"]
     one, four = tmp_path / "one.csv", tmp_path / "four.csv"
@@ -85,6 +86,16 @@ def test_spectrum_jobs_invariance(tmp_path):
         assert main(base + ["--jobs", "2", "--out", str(four)]) == 0
         assert strip(one) == strip(four)
         assert config(one)["jobs"] == 1 and config(four)["jobs"] == 2
+    # three blocks, the last one partial: shards cut on block boundaries
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    reps = 2 * _POP_BLOCK + 3
+    base = ["spectrum", "--mode", "population", "--model", "cpp-brownian", "--theta", "1",
+            "--T", "20", "--eps", "0.01", "--q", "1", "--reps", str(reps), "--seed", "14"]
+    outputs = []
+    for jobs in ("1", "2", "3"):
+        assert main(base + ["--jobs", jobs, "--out", str(one)]) == 0
+        outputs.append(strip(one))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_spectrum_population_mode(tmp_path):

@@ -104,12 +104,12 @@ CASES = [
      "spectrum counts must be nonnegative"),
     ("population-sample-size", lambda: FrequencySpectrum(masses=(0.5,)).sample_size,
      "population spectra have no sample size"),
-    ("partitions-of-zero", lambda: list(integer_partition_counts(0)), "n must be at least 1"),
-    ("partitions-of-float", lambda: list(integer_partition_counts(2.5)),
+    ("partitions-of-zero", lambda: integer_partition_counts(0), "n must be at least 1"),
+    ("partitions-of-float", lambda: integer_partition_counts(2.5),
      "n must be an integer, got 2.5"),
-    ("partitions-of-integral-float", lambda: list(integer_partition_counts(3.0)),
+    ("partitions-of-integral-float", lambda: integer_partition_counts(3.0),
      "n must be an integer, got 3.0"),
-    ("partitions-of-bool", lambda: list(integer_partition_counts(True)),
+    ("partitions-of-bool", lambda: integer_partition_counts(True),
      "n must be an integer, got True"),
     ("expected-k-above-n", lambda: expected_sample_spectrum(1.0, 3, 4), "need 1 <= k <= n"),
     ("expected-n-float", lambda: expected_sample_spectrum(1.0, 3.0, 1),

@@ -83,10 +83,13 @@ class Draws:
 
 def test_distinct_uniforms_redraws_collisions_and_returns_the_sort_order():
     gen = Draws([0.5, 0.5, 0.25], [0.0, 0.75, 0.5], [0.75, 0.25, 0.5])
-    positions, order = _distinct_uniforms(gen, 3, 2.0)
-    assert positions.tolist() == [0.5, 1.0, 1.5] and order.tolist() == [1, 2, 0]
+    positions, marks = _distinct_uniforms(gen, 3, 2.0, np.array([10, 20, 30]))
+    assert positions.tolist() == [0.5, 1.0, 1.5] and marks.tolist() == [20, 30, 10]
     assert not gen.draws
-    assert [a.size for a in _distinct_uniforms(Draws(), 0, 1.0)] == [0, 0]
+    # without marks, the same draws give the same sorted positions
+    gen = Draws([0.5, 0.5, 0.25], [0.0, 0.75, 0.5], [0.75, 0.25, 0.5])
+    assert [a.tolist() for a in _distinct_uniforms(gen, 3, 2.0)] == [[0.5, 1.0, 1.5]]
+    assert [a.size for a in _distinct_uniforms(Draws(), 0, 1.0, np.empty(0))] == [0, 0]
     with pytest.raises(ResourceError, match="^could not draw distinct interior positions$"):
         _distinct_uniforms(Draws(*[[0.5, 0.5]] * 8), 2, 1.0)
 

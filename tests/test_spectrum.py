@@ -12,10 +12,11 @@ from ultracomb import (Comb, FrequencySpectrum, IntensityModel, MutationMeasure,
                        normalized_tail_spectrum, population_spectrum,
                        sample_esf_spectra, sample_kingman_allelic_partition,
                        spectrum_of_partition)
-from ultracomb.spectrum import _BAND_RATIO, _band_comb
+from ultracomb.spectrum import (_BAND_RATIO, _POP_BLOCK, _band_comb, _critical_bd_block,
+                                _tail_spectrum_block, _tail_spectrum_blocks)
 
 from reference_population import (critical_bd_rain, full_brownian_rain, pruned,
-                                   replicate_statistics)
+                                   replicate_statistics, split_block)
 
 EXAMPLE = Comb(1.0, 4.0, [0.2, 0.5, 0.8], [3.0, 1.0, 2.0])
 
@@ -279,10 +280,10 @@ def test_normalized_tail_spectrum_rejects_bad_q(model, q):
                                                ("brownian", 1.0, 10.0)])
 def test_normalized_tail_spectrum_checks_theta_and_eps_before_any_draw(monkeypatch, model,
                                                                        theta, eps):
-    def no_replicate(*args):
-        raise AssertionError("a replicate was drawn")
+    def no_block(*args):
+        raise AssertionError("a block was drawn")
 
-    monkeypatch.setattr("ultracomb.spectrum._tail_spectrum_replicate", no_replicate)
+    monkeypatch.setattr("ultracomb.spectrum._tail_spectrum_block", no_block)
     with pytest.raises(ValidationError):
         normalized_tail_spectrum(model, theta, 10.0, [1.0], 4, RandomSource(50), eps=eps)
 
@@ -307,19 +308,22 @@ def test_teeth_without_atoms_or_clade_stops_leave_the_spectrum_unchanged(model, 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-3])
 def test_band_sampler_matches_the_full_comb_in_law(eps):
-    """Same seeds, so the widths agree bit for bit; every other statistic
-    is compared by its mean paired difference, within 4 standard errors.
-    Summed carrier masses nearly always equal the width, so their paired
-    differences are rounding noise: a 1e-9 floor on the error covers it."""
+    """Blocks of ``_POP_BLOCK`` replicates, cut into their replicates, each
+    paired with a full comb drawn on its width from another stream; every
+    other statistic is compared by its mean paired difference, within 4
+    standard errors.  Summed carrier masses nearly always equal the width,
+    so their paired differences are rounding noise: a 1e-9 floor on the
+    error covers it."""
     qs, reps = np.array([0.5, 1.0, 2.0, 4.0]), 800
     model, measure = IntensityModel.brownian(mass_scale=1.0), MutationMeasure.homogeneous(1.0)
+    band = np.array([replicate_statistics(comb, ms, qs)
+                     for b in range(reps // _POP_BLOCK)
+                     for comb, ms in split_block(*_band_comb(model, measure, 50.0, eps, _POP_BLOCK,
+                                                             RandomSource(2400).spawn(b).gen), 50.0)])
     full = np.array([replicate_statistics(*full_brownian_rain(1.0, 50.0, eps,
-                                                              RandomSource(2400).spawn(r)), qs)
-                     for r in range(reps)])
-    band = np.array([replicate_statistics(*_band_comb(model, measure, 50.0, eps,
-                                                      RandomSource(2400).spawn(r).gen), qs)
-                     for r in range(reps)])
-    assert np.array_equal(band[:, 0], full[:, 0])
+                                                              RandomSource(2401).spawn(r), width), qs)
+                     for r, width in enumerate(band[:, 0])])
+    assert band.shape[0] == reps and np.array_equal(band[:, 0], full[:, 0])
     diff = band[:, 1:] - full[:, 1:]  # alleles, tails at each q, summed carrier mass
     se = np.maximum(diff.std(axis=0, ddof=1) / math.sqrt(reps), 1e-9)
     assert np.all(np.abs(diff.mean(axis=0)) <= 4.0 * se), (diff.mean(axis=0), se)
@@ -354,7 +358,8 @@ def test_band_sampler_draws_unmarked_teeth_in_its_regions():
     """Unmarked teeth of a band are Poisson on its regions given what was
     drawn before them, with intensity exp(-h) h^-2 dh (theta 1, tail 1/h):
     their count sums to the regions' length times its integral, within
-    4 sd over all bands and 5 sd in each."""
+    4 sd over all bands and 5 sd in each.  Regions are rebuilt on each
+    replicate cut from blocks of ``_POP_BLOCK``."""
     from scipy.special import exp1
 
     horizon, eps, reps = 50.0, 1e-3, 200
@@ -365,9 +370,10 @@ def test_band_sampler_draws_unmarked_teeth_in_its_regions():
     rate = (np.exp(-bottoms) / bottoms - np.exp(-tops) / tops
             + exp1(tops) - exp1(bottoms))  # of exp(-h) h^-2 dh over [b, t)
     counts, lengths = map(sum, zip(*(
-        band_region_counts(*_band_comb(model, measure, horizon, eps,
-                                       RandomSource(2600).spawn(r).gen), tops, bottoms)
-        for r in range(reps))))
+        band_region_counts(comb, ms, tops, bottoms)
+        for b in range(reps // _POP_BLOCK)
+        for comb, ms in split_block(*_band_comb(model, measure, horizon, eps, _POP_BLOCK,
+                                                RandomSource(2600).spawn(b).gen), horizon))))
     mean = lengths * rate
     z = (counts - mean) / np.sqrt(mean)
     assert tops.size == 8 and counts.sum() > 10 ** 5
@@ -398,15 +404,55 @@ def test_band_sampler_redraws_colliding_marked_positions():
     # fail every band's merge check
     model, measure = IntensityModel.brownian(mass_scale=1.0), MutationMeasure.homogeneous(1.0)
     gen = CollidingMarks(RandomSource(7).gen)
-    comb, ms = _band_comb(model, measure, 20.0, 1e-2, gen)
-    assert len(set(ms.branch.tolist()) - {ORIGIN_BRANCH}) > 1 and gen.calls > 4
+    comb, ms = _band_comb(model, measure, 20.0, 1e-2, 1, gen)
+    assert len(set(ms.branch.tolist()) - {0}) > 1 and gen.calls > 4
 
 
 def test_band_sampler_keeps_positions_distinct_or_raises():
     model, measure = IntensityModel.brownian(mass_scale=1.0), MutationMeasure.homogeneous(1.0)
-    comb, ms = _band_comb(model, measure, 50.0, 1e-9, RandomSource(2500).gen)
+    comb, ms = _band_comb(model, measure, 50.0, 1e-9, 1, RandomSource(2500).gen)
     assert comb.n_teeth < 10 ** 4 and len(ms) > 0
     # below the float spacing of positions near the width, regions stop
     # shrinking; the collision guard stops the ladder instead of growing it
     with pytest.raises(ResourceError, match="distinct interior positions"):
-        _band_comb(model, measure, 5.0, 1e-300, RandomSource(1).spawn(0).gen)
+        _band_comb(model, measure, 5.0, 1e-300, 1, RandomSource(1).spawn(0).gen)
+
+
+@pytest.mark.parametrize("model", ["brownian", "critical-bd"])
+def test_a_block_reads_as_its_replicates_side_by_side(model):
+    """Cut into its single replicates, each a comb with its own origin, a
+    block gives each replicate the tail counts the block function reports
+    for it.  Every origin is a tooth of height horizon, whose rain has
+    mass M(horizon) exactly, and the block's own origin carries no atom."""
+    horizon, eps, qs = 20.0, 1e-3, np.array([1.0, 2.0, 4.0])
+    measure = MutationMeasure.homogeneous(1.0)
+    for b in range(4):
+        size = _POP_BLOCK - b  # a full block, then partial ones
+        rng = RandomSource(2700).spawn(b)
+        if model == "critical-bd":
+            comb, ms = _critical_bd_block(measure, horizon, size, rng)
+        else:
+            comb, ms = _band_comb(IntensityModel.brownian(1.0), measure, horizon, eps, size, rng.gen)
+        widths, counts = _tail_spectrum_block(model, 1.0, horizon, eps, qs, size,
+                                              RandomSource(2700).spawn(b))
+        origins = comb.heights == horizon
+        assert np.count_nonzero(origins) == size and comb.positions[origins][0] == 1.0
+        assert np.all(measure.cumulative(comb.heights[origins]) == measure.cumulative(horizon))
+        replicates = split_block(comb, ms, horizon)
+        assert [c.interval_length for c, _ in replicates] == widths.tolist()
+        for (single, single_ms), row in zip(replicates, counts):
+            assert single.origin_height == horizon
+            masses = np.asarray(population_spectrum(single, single_ms).masses)[:, None]
+            hits = masses == qs if model == "critical-bd" else masses >= qs
+            assert np.count_nonzero(hits, axis=0).tolist() == row.tolist()
+        assert counts.sum() > 0
+
+
+def test_population_blocks_share_only_full_blocks_across_reps():
+    def blocks(reps):
+        return _tail_spectrum_blocks("brownian", 1.0, 20.0, 1e-2, [1.0], reps, RandomSource(2800),
+                                     range(-(-reps // _POP_BLOCK)))
+
+    short, long = blocks(_POP_BLOCK + 3), blocks(2 * _POP_BLOCK)
+    assert [w.size for w, _ in short] == [_POP_BLOCK, 3]
+    assert np.array_equal(short[0][0], long[0][0]) and np.array_equal(short[0][1], long[0][1])

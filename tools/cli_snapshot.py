@@ -19,7 +19,8 @@ command prints clades, carrier masses or clonal intervals, so
 ``clonal_set`` intervals and ``assign_alleles`` labels of three seeded
 combs with their mutation rain.  The population CSVs print rounded
 estimates, so ``band.json`` holds the comb and rain of the Brownian band
-sampler, ``_band_comb``, for three seeds at each of two eps, bit for bit.
+sampler, ``_band_comb``, for a block of two replicates side by side at
+three seeds and each of two eps, bit for bit.
 """
 
 from __future__ import annotations
@@ -164,14 +165,14 @@ def clade_readings() -> dict:
 
 
 def band_draws() -> dict:
-    """``to_dict`` of the comb and ``to_list`` of the rain that the Brownian
-    population replicate draws at T = 20 and theta = 1, for three seeds at
-    each of two eps (JSON floats round-trip)."""
+    """``to_dict`` of the comb and ``to_list`` of the rain that a block of two
+    Brownian population replicates draws at T = 20 and theta = 1, for three
+    seeds at each of two eps (JSON floats round-trip)."""
     model, measure = IntensityModel.brownian(1.0), MutationMeasure.homogeneous(1.0)
     out = {}
     for eps in (1e-2, 1e-3):
         for seed in (51, 52, 53):
-            comb, ms = _band_comb(model, measure, 20.0, eps, RandomSource(seed).gen)
+            comb, ms = _band_comb(model, measure, 20.0, eps, 2, RandomSource(seed).gen)
             out[f"eps-{eps:g}-seed-{seed}"] = {"comb": comb.to_dict(), "mutations": ms.to_list()}
     return out
 
