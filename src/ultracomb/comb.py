@@ -44,6 +44,9 @@ _ULTRAMETRIC_RTOL = 1e-9
 # blocks directly and skips whole blocks through the sparse table
 _BLOCK = 32
 _OFFSETS = np.arange(_BLOCK)
+# queries scanned at once: each holds 2 * _BLOCK indices and heights
+# (about 1 KB), so a batch of any size scans in about 1 MB
+_SCAN = 1024
 
 
 def _next_above(heights: np.ndarray, starts: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -58,7 +61,8 @@ def _next_above(heights: np.ndarray, starts: np.ndarray, levels: np.ndarray) -> 
     ``(n / _BLOCK) log2(n / _BLOCK)`` floats.  Each query skips the blocks
     after its start's that are no taller than its level, one sparse-table
     step per level, then scans two rows of ``_BLOCK`` heights: from its
-    start, and the block it landed on.  Answers equal a direct scan.
+    start, and the block it landed on, ``_SCAN`` queries at a time.
+    Answers equal a direct scan.
     """
     starts = np.maximum(np.asarray(starts, dtype=np.int64), 0)
     levels = np.asarray(levels, dtype=float)
@@ -84,10 +88,13 @@ def _next_above(heights: np.ndarray, starts: np.ndarray, levels: np.ndarray) -> 
     # block landed on.  Past the last tooth its height repeats, which
     # never moves a first hit: a row that runs past tooth n-1 holds it
     # earlier, and one that lands past it has no hit
-    at = (np.array((start, block * _BLOCK)).T[:, :, None] + _OFFSETS).reshape(-1, 2 * _BLOCK)
-    hits = heights.take(at, mode="clip") > level[:, None]
-    first = at[np.arange(start.size), hits.argmax(axis=1)]
-    out[live] = np.where(hits.any(axis=1), first, n)
+    first = np.empty(start.size, dtype=np.int64)
+    for lo in range(0, start.size, _SCAN):
+        q = slice(lo, lo + _SCAN)
+        at = (np.array((start[q], block[q] * _BLOCK)).T[:, :, None] + _OFFSETS).reshape(-1, 2 * _BLOCK)
+        hits = heights.take(at, mode="clip") > level[q, None]
+        first[q] = np.where(hits.any(axis=1), at[np.arange(at.shape[0]), hits.argmax(axis=1)], n)
+    out[live] = first
     return out
 
 

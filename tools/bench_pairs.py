@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import platform
+import signal
 import subprocess
 import sys
 import tempfile
@@ -90,6 +91,8 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     base_commit = _git("rev-parse", "--verify", args.base + "^{commit}")
+    # a terminated run still removes its worktree
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit("bench_pairs: terminated"))
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         base_dir = Path(tmp) / "base"
