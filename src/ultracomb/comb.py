@@ -91,7 +91,8 @@ def _next_above(heights: np.ndarray, starts: np.ndarray, levels: np.ndarray) -> 
     first = np.empty(start.size, dtype=np.int64)
     for lo in range(0, start.size, _SCAN):
         q = slice(lo, lo + _SCAN)
-        at = (np.array((start[q], block[q] * _BLOCK)).T[:, :, None] + _OFFSETS).reshape(-1, 2 * _BLOCK)
+        rows = np.array((start[q], block[q] * _BLOCK)).T[:, :, None] + _OFFSETS
+        at = rows.reshape(-1, 2 * _BLOCK)
         hits = heights.take(at, mode="clip") > level[q, None]
         first[q] = np.where(hits.any(axis=1), at[np.arange(at.shape[0]), hits.argmax(axis=1)], n)
     out[live] = first

@@ -284,8 +284,9 @@ _POP_BLOCK = 8
 
 
 def _lay_out(widths: np.ndarray) -> tuple[np.ndarray, float]:
-    """Replicates of these widths side by side after a lead gap [0, 1):
-    the position where each one starts (its origin), and the block's end."""
+    """Replicates of these widths side by side after a lead gap [0, 1),
+    so that every replicate's origin is a tooth of the block: the
+    position where each one starts (its origin), and the block's end."""
     origins = np.cumsum(np.append(1.0, widths[:-1]))
     return origins, float(origins[-1] + widths[-1])
 
@@ -345,7 +346,8 @@ def _band_comb(model: IntensityModel, measure: MutationMeasure, horizon: float, 
     mass = measure.cumulative(heights)
     keep = gen.random(band.size) * cap[band] < -np.expm1(-mass)
     mark_h, mass = heights[keep], mass[keep]
-    # every tooth drawn so far by position, between sentinels of infinite height at 0 and end
+    # every tooth drawn so far by position, between sentinels of infinite height at 0 and
+    # end; the origins' height, the horizon, is at least every band top, so they end regions
     edges = np.concatenate(([0.0], origins, [end]))
     hgt = np.concatenate(([math.inf], np.full(size, horizon), [math.inf]))
     pos, edges, hgt = _insert_in_regions(gen, edges, hgt, origins, widths, mark_h)

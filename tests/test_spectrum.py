@@ -316,13 +316,13 @@ def test_band_sampler_matches_the_full_comb_in_law(eps):
     error covers it."""
     qs, reps = np.array([0.5, 1.0, 2.0, 4.0]), 800
     model, measure = IntensityModel.brownian(mass_scale=1.0), MutationMeasure.homogeneous(1.0)
+    blocks = [_band_comb(model, measure, 50.0, eps, _POP_BLOCK, RandomSource(2400).spawn(b).gen)
+              for b in range(reps // _POP_BLOCK)]
     band = np.array([replicate_statistics(comb, ms, qs)
-                     for b in range(reps // _POP_BLOCK)
-                     for comb, ms in split_block(*_band_comb(model, measure, 50.0, eps, _POP_BLOCK,
-                                                             RandomSource(2400).spawn(b).gen), 50.0)])
-    full = np.array([replicate_statistics(*full_brownian_rain(1.0, 50.0, eps,
-                                                              RandomSource(2401).spawn(r), width), qs)
-                     for r, width in enumerate(band[:, 0])])
+                     for block in blocks for comb, ms in split_block(*block, 50.0)])
+    full = np.array([replicate_statistics(
+        *full_brownian_rain(1.0, 50.0, eps, RandomSource(2401).spawn(r), width), qs)
+        for r, width in enumerate(band[:, 0])])
     assert band.shape[0] == reps and np.array_equal(band[:, 0], full[:, 0])
     diff = band[:, 1:] - full[:, 1:]  # alleles, tails at each q, summed carrier mass
     se = np.maximum(diff.std(axis=0, ddof=1) / math.sqrt(reps), 1e-9)
@@ -405,6 +405,7 @@ def test_band_sampler_redraws_colliding_marked_positions():
     model, measure = IntensityModel.brownian(mass_scale=1.0), MutationMeasure.homogeneous(1.0)
     gen = CollidingMarks(RandomSource(7).gen)
     comb, ms = _band_comb(model, measure, 20.0, 1e-2, 1, gen)
+    # tooth 0 is the replicate's origin; more than one marked tooth keeps atoms
     assert len(set(ms.branch.tolist()) - {0}) > 1 and gen.calls > 4
 
 
@@ -432,7 +433,8 @@ def test_a_block_reads_as_its_replicates_side_by_side(model):
         if model == "critical-bd":
             comb, ms = _critical_bd_block(measure, horizon, size, rng)
         else:
-            comb, ms = _band_comb(IntensityModel.brownian(1.0), measure, horizon, eps, size, rng.gen)
+            comb, ms = _band_comb(IntensityModel.brownian(1.0), measure, horizon, eps, size,
+                                  rng.gen)
         widths, counts = _tail_spectrum_block(model, 1.0, horizon, eps, qs, size,
                                               RandomSource(2700).spawn(b))
         origins = comb.heights == horizon
@@ -448,7 +450,7 @@ def test_a_block_reads_as_its_replicates_side_by_side(model):
         assert counts.sum() > 0
 
 
-def test_population_blocks_share_only_full_blocks_across_reps():
+def test_population_runs_share_their_full_blocks_across_reps():
     def blocks(reps):
         return _tail_spectrum_blocks("brownian", 1.0, 20.0, 1e-2, [1.0], reps, RandomSource(2800),
                                      range(-(-reps // _POP_BLOCK)))
