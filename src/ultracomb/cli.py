@@ -5,8 +5,9 @@ reproducible experiments with machine-readable outputs.  Every
 stochastic run requires a seed; outputs embed the full configuration so
 a run can be reproduced from its own header.  Replicates are sharded
 across ``--jobs`` workers with per-replicate streams derived from the
-seed (population mode: one stream per block of replicates, and shards
-cut on block boundaries), so results do not depend on the job count.
+seed (population mode: one stream per block of replicates, drawn whole
+by the shard that holds its first replicate), so results do not depend
+on the job count.
 
 Exit codes: 0 ok, 2 validation, 3 numeric/resource (memory exhaustion
 and arrays numpy refuses as too big included), 4 I/O.
@@ -28,15 +29,14 @@ from .comb import Comb
 from .contour import ContourFunction, sphere_comb_from_contour, tree_from_contour
 from .errors import (NumericError, ResourceError, UltracombError, ValidationError, _integer,
                      _malformed)
-from .intensity import (IntensityModel, PopulationModel, parse_lifetime,
+from .intensity import (ExponentialLifetime, IntensityModel, PopulationModel, parse_lifetime,
                         solve_scale_function)
 from .mutation import MutationMeasure, scatter_mutations
 from .rng import RandomSource
 from .sampling import (padic_comb, reduce_population_tree, sample_cpp,
                        sample_kingman_comb, sample_splitting_tree)
-from .spectrum import (_POP_BLOCK, _check_tail_spectrum, _tail_spectrum_blocks,
-                       _tail_spectrum_rows, sample_kingman_allelic_partition,
-                       spectrum_of_partition)
+from .spectrum import (_check_tail_spectrum, _tail_spectrum_blocks, _tail_spectrum_rows,
+                       sample_kingman_allelic_partition, spectrum_of_partition)
 
 CPP_MODELS = ("cpp-brownian", "cpp-critical-bd", "cpp-from-W")
 STOCHASTIC_MODELS = {"kingman", *CPP_MODELS, "splitting"}
@@ -71,7 +71,7 @@ def _intensity_for(args) -> IntensityModel:
     if args.model == "cpp-from-W":
         spec = _load_model_spec(args.model_spec)
         solution = solve_scale_function(spec["model"], spec["T"], spec["steps"])
-        return solution.intensity_model()
+        return IntensityModel.from_scale_grid(solution.times, solution.values)
     raise ValidationError(f"model {args.model!r} has no intensity")
 
 
@@ -214,9 +214,9 @@ def _spectrum_worker(args, replicates: range) -> list[np.ndarray]:
     return out
 
 
-def _population_worker(args, blocks: range) -> list[tuple[np.ndarray, np.ndarray]]:
+def _population_worker(args, replicates: range) -> list[tuple[np.ndarray, np.ndarray]]:
     return _tail_spectrum_blocks(args.model.removeprefix("cpp-"), args.theta, args.T, args.eps,
-                                 args.q, args.reps, RandomSource(args.seed), blocks)
+                                 args.q, args.reps, RandomSource(args.seed), replicates)
 
 
 def cmd_spectrum(args) -> int:
@@ -242,8 +242,8 @@ def cmd_spectrum(args) -> int:
             raise ValidationError("population mode needs --model cpp-critical-bd or cpp-brownian")
         model = args.model.removeprefix("cpp-")
         _check_tail_spectrum(model, args.theta, args.T, args.eps, args.q, args.reps)
-        # shards cut on block boundaries, so the output does not depend on --jobs
-        blocks = _run_sharded(_population_worker, args, -(-args.reps // _POP_BLOCK))
+        # a block is drawn whole by the shard its first replicate falls in
+        blocks = _run_sharded(_population_worker, args, args.reps)
         rows = _tail_spectrum_rows(model, args.theta, args.q, blocks)
         cfg = _config_dict(args, ["mode", "model", "theta", "T", "eps", "q",
                                   "reps", "seed", "jobs"])
@@ -265,13 +265,14 @@ def cmd_solve_w(args) -> int:
     elif not 0 < args.b < math.inf:
         raise ValidationError(f"--b must be positive and finite, got {args.b}")
     elif args.model == "yule":
-        model, horizon, steps = PopulationModel.yule(args.b), args.T, args.steps
+        model, horizon, steps = PopulationModel(args.b), args.T, args.steps
     elif args.model == "critical-bd":
-        model, horizon, steps = PopulationModel.birth_death(args.b, args.b), args.T, args.steps
+        model = PopulationModel(args.b, ExponentialLifetime(args.b))
+        horizon, steps = args.T, args.steps
     elif args.model == "bd":
         if args.death_rate is None:
             raise ValidationError("--death-rate is required for --model bd")
-        model = PopulationModel.birth_death(args.b, args.death_rate)
+        model = PopulationModel(args.b, ExponentialLifetime(args.death_rate))
         horizon, steps = args.T, args.steps
     else:
         raise ValidationError(f"unknown model {args.model!r}")

@@ -8,6 +8,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
+__all__ = ["UltracombError", "ValidationError", "EmptySphereError", "NumericError",
+           "ResourceError"]
+
 
 class UltracombError(Exception):
     """Base class for all package-specific errors."""

@@ -33,7 +33,6 @@ __all__ = [
     "TimeChange",
     "time_change_comb",
     "mutation_rate_pushforward",
-    "PushforwardMeasure",
     "cpp_intensity_from_pure_birth",
 ]
 
@@ -121,14 +120,6 @@ class PopulationModel:
         if callable(self.birth_rate):
             return self.birth_rate(t)
         return self.birth_rate
-
-    @classmethod
-    def yule(cls, birth_rate: float = 1.0) -> "PopulationModel":
-        return cls(birth_rate, Immortal())
-
-    @classmethod
-    def birth_death(cls, birth_rate: float, death_rate: float) -> "PopulationModel":
-        return cls(birth_rate, ExponentialLifetime(death_rate))
 
 
 # ----------------------------------------------------------------------
@@ -236,19 +227,17 @@ class IntensityModel:
 
 @dataclass(frozen=True)
 class ScaleSolution:
-    """Grid solution W of the reduced-genealogy equation on [0, horizon].
+    """Grid solution W of the reduced-genealogy equation on [0, times[-1]],
+    the horizon.
 
     ``1/W`` is the intensity tail of the coalescent point process that
-    is isometric to the population's genealogy at the horizon.
+    is isometric to the population's genealogy at the horizon:
+    ``IntensityModel.from_scale_grid(times, values)``.
     """
 
     times: np.ndarray
     values: np.ndarray
-    horizon: float
     model: PopulationModel
-
-    def intensity_model(self) -> IntensityModel:
-        return IntensityModel.from_scale_grid(self.times, self.values)
 
 
 def _heun_scan(b: np.ndarray, dt: float, rate: float) -> np.ndarray:
@@ -363,7 +352,7 @@ def solve_scale_function(model: PopulationModel, horizon: float, steps: int) -> 
         )
     W.flags.writeable = False
     ts.flags.writeable = False
-    return ScaleSolution(times=ts, values=W, horizon=float(horizon), model=model)
+    return ScaleSolution(times=ts, values=W, model=model)
 
 
 # ----------------------------------------------------------------------
@@ -377,10 +366,6 @@ class TimeChange:
     inverse: Callable
 
     @classmethod
-    def identity(cls) -> "TimeChange":
-        return cls(forward=lambda x: x, inverse=lambda x: x)
-
-    @classmethod
     def exponential_decay(cls, rate: float) -> "TimeChange":
         """t -> e^{-rate t}, the decreasing bijection [0, inf) -> (0, 1]
         (rate positive and finite)."""
@@ -389,19 +374,9 @@ class TimeChange:
         return cls(forward=lambda t: np.exp(-rate * t),
                    inverse=lambda y: -np.log(y) / rate)
 
-    def __call__(self, x):
-        return self.forward(x)
-
     def validate_on(self, points: Sequence[float]) -> None:
         """Spot-check the inverse round-trip."""
         _roundtrip_check(self.forward, self.inverse, [float(p) for p in points], "time change")
-
-
-def _apply(fn: Callable, values: np.ndarray) -> np.ndarray:
-    out = fn(values)
-    if np.ndim(out) == values.ndim and np.shape(out) == values.shape:
-        return np.asarray(out, dtype=float)
-    return np.array([fn(float(v)) for v in values], dtype=float)
 
 
 def time_change_comb(comb: Comb, change: TimeChange) -> Comb:
@@ -411,8 +386,10 @@ def time_change_comb(comb: Comb, change: TimeChange) -> Comb:
 
     A decreasing map would reverse the event order and is rejected;
     decreasing bijections belong in measure pushforwards instead.
+    ``change.forward`` is applied to one height at a time, so a scalar
+    function such as ``math.log1p`` serves.
     """
-    new_heights = _apply(change.forward, comb.heights)
+    new_heights = _elementwise(change.forward)(comb.heights)
     new_origin = float(change.forward(comb.origin_height))
     if comb.n_teeth:
         order = np.argsort(comb.heights, kind="stable")

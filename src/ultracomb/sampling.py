@@ -38,9 +38,9 @@ _SPLITTING_RETRIES = 10_000
 
 @dataclass(frozen=True)
 class CppSample:
-    """A killed coalescent point process: the comb and the height of the
-    killing atom (> the comb height; inf when the model's tail is
-    unknown past the horizon)."""
+    """A killed coalescent point process: the comb, whose interval length
+    is the killed width, and the height of the killing atom (> the comb
+    height; inf when the model's tail is unknown past the horizon)."""
 
     comb: Comb
     killing_height: float
@@ -48,11 +48,6 @@ class CppSample:
     def __post_init__(self):
         if not self.killing_height > self.comb.origin_height:
             raise ValidationError("killing height must exceed the comb height")
-
-    @property
-    def width(self) -> float:
-        """The killed width: the comb's interval length."""
-        return self.comb.interval_length
 
 
 def _distinct_uniforms(gen, n: int, width: float, *marks: np.ndarray) -> tuple[np.ndarray, ...]:

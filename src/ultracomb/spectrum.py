@@ -423,13 +423,15 @@ def _tail_spectrum_block(model_name: str, theta: float, horizon: float, eps: flo
 
 def _tail_spectrum_blocks(model_name: str, theta: float, horizon: float, eps: float,
                           qs: Sequence[float], reps: int, rng: RandomSource,
-                          blocks: range) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Blocks ``blocks`` of ``reps`` replicates: block b holds replicates
-    ``b * _POP_BLOCK`` onward, ``_POP_BLOCK`` of them or the rest, drawn
-    from ``rng.spawn(b)``."""
+                          replicates: range) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The blocks of ``reps`` replicates that start in ``replicates``:
+    block b holds replicates ``b * _POP_BLOCK`` onward, ``_POP_BLOCK`` of
+    them or the rest, drawn from ``rng.spawn(b)``.  Ranges that tile
+    ``range(reps)`` draw every block once, wherever they are cut."""
+    starts = replicates[-replicates.start % _POP_BLOCK::_POP_BLOCK]
     return [_tail_spectrum_block(model_name, theta, horizon, eps, qs,
-                                 min(_POP_BLOCK, reps - b * _POP_BLOCK), rng.spawn(b))
-            for b in blocks]
+                                 min(_POP_BLOCK, reps - r), rng.spawn(r // _POP_BLOCK))
+            for r in starts]
 
 
 def _tail_spectrum_rows(model_name: str, theta: float, qs: Sequence[float],
@@ -473,4 +475,4 @@ def normalized_tail_spectrum(model_name: str, theta: float, horizon: float,
     """
     qs = _check_tail_spectrum(model_name, theta, horizon, eps, qs, reps)
     return _tail_spectrum_rows(model_name, theta, qs, _tail_spectrum_blocks(
-        model_name, theta, horizon, eps, qs, reps, rng, range(-(-reps // _POP_BLOCK))))
+        model_name, theta, horizon, eps, qs, reps, rng, range(reps)))

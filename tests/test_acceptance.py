@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from ultracomb import (BoundaryPoint, Immortal, IntensityModel,
+from ultracomb import (BoundaryPoint, ExponentialLifetime, Immortal, IntensityModel,
                        MutationMeasure, PopulationModel, RandomSource,
                        clonal_laplace_exponent, clonal_set, comb_distance,
                        comb_from_ultrametric, esf_probability,
@@ -96,11 +96,11 @@ def test_criterion_03_padic_fixtures():
 
 
 def test_criterion_04_scale_solver():
-    yule = solve_scale_function(PopulationModel.yule(1.0), 1.0, 10_000)
+    yule = solve_scale_function(PopulationModel(1.0), 1.0, 10_000)
     err_yule = abs(yule.values[-1] - math.e) / math.e
-    crit = solve_scale_function(PopulationModel.birth_death(1.0, 1.0), 1.0, 10_000)
+    crit = solve_scale_function(PopulationModel(1.0, ExponentialLifetime(1.0)), 1.0, 10_000)
     err_crit = float(np.abs(crit.values - (1.0 + crit.times)).max() / 2.0)
-    errs = [abs(solve_scale_function(PopulationModel.yule(1.0), 1.0, steps).values[-1]
+    errs = [abs(solve_scale_function(PopulationModel(1.0), 1.0, steps).values[-1]
                 - math.e) for steps in (250, 500, 1000)]
     order = min(math.log2(a / b) for a, b in zip(errs, errs[1:]))
     ok = err_yule < 1e-6 and err_crit < 1e-6 and order >= 1.0
@@ -117,7 +117,8 @@ def test_criterion_05_reduction_matches_solved_intensity():
         tree = sample_splitting_tree(1.0, Immortal(), 1.0, rng.spawn(i))
         reduced.extend(reduce_population_tree(tree, 1.0).heights)
         i += 1
-    model = solve_scale_function(PopulationModel.yule(1.0), 1.0, 10_000).intensity_model()
+    sol = solve_scale_function(PopulationModel(1.0), 1.0, 10_000)
+    model = IntensityModel.from_scale_grid(sol.times, sol.values)
     cpp_heights: list[float] = []
     j = 0
     while len(cpp_heights) < 10_000:

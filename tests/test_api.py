@@ -28,6 +28,11 @@ def test_all_names_resolve(name):
     assert [n for n in names if not hasattr(module, n)] == []
 
 
+def test_package_exports_the_union_of_the_module_lists():
+    names = [n for m in MODULES[1:] for n in getattr(importlib.import_module(m), "__all__", [])]
+    assert sorted(ultracomb.__all__) == sorted(names)
+
+
 def test_import_defers_slow_scipy_modules():
     # scipy.integrate and scipy.special cost most of the import time; only
     # the clonal exponent and the Brownian spectrum target need them.  The

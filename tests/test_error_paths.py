@@ -7,19 +7,22 @@ import re
 import numpy as np
 import pytest
 
-from ultracomb import (BoundaryPoint, Comb, ContourFunction, FrequencySpectrum,
-                       IntensityModel, MutationMeasure, RandomSource, TimeChange, ValidationError,
+from ultracomb import (BoundaryPoint, ClonalSet, Comb, ContourFunction, CppSample,
+                       CustomLifetime, FrequencySpectrum, IntensityModel, MutationMeasure,
+                       PopulationModel, RandomSource, TimeChange, ValidationError,
                        comb_from_ultrametric, comb_to_tree, expected_sample_spectrum,
                        integer_partition_counts, normalized_tail_spectrum, padic_comb,
-                       reduce_population_tree, rescale_comb, sample_cpp_fixed_width,
-                       sphere_comb_from_contour, time_change_comb, unrescale_comb,
-                       validate_ultrametric)
+                       parse_lifetime, reduce_population_tree, rescale_comb, sample_cpp,
+                       sample_cpp_fixed_width, sample_kingman_allelic_partition,
+                       sample_kingman_comb, scatter_mutations, sphere_comb_from_contour,
+                       time_change_comb, unrescale_comb, validate_ultrametric)
 from ultracomb.intensity import mutation_rate_pushforward
 
 PAIR = [[0.0, 1.0], [1.0, 0.0]]
 COMB = Comb(1.0, 2.0, [0.25, 0.75], [0.5, 0.8])
 # a tail known up to 1.0: a grid model's support top
 GRID = IntensityModel.from_scale_grid([0.0, 1.0], [1.0, 2.0])
+IDENTITY = TimeChange(lambda x: x, lambda x: x)
 
 
 def _contour(times, before, after):
@@ -96,9 +99,9 @@ CASES = [
      "time change is not monotone increasing up to the origin height"),
     ("pushforward-interval",
      lambda: mutation_rate_pushforward(MutationMeasure.homogeneous(1.0),
-                                       TimeChange.identity()).mass(2.0, 1.0),
+                                       IDENTITY).mass(2.0, 1.0),
      "need 0 <= a <= b"),
-    ("pushforward-not-callable", lambda: mutation_rate_pushforward(3.0, TimeChange.identity()),
+    ("pushforward-not-callable", lambda: mutation_rate_pushforward(3.0, IDENTITY),
      "measure must be callable or expose a cumulative callable"),
     ("spectrum-negative-count", lambda: FrequencySpectrum(counts=(1, -1)),
      "spectrum counts must be nonnegative"),
@@ -140,6 +143,35 @@ CASES = [
     ("window-eps-at-support-top",
      lambda: sample_cpp_fixed_width(GRID, 1.0, 1.0, RandomSource(1)),
      "need 0 <= eps < support_top"),
+    ("seed-negative", lambda: RandomSource(-1), "seed must be in [0, 2^64), got -1"),
+    ("seed-too-large", lambda: RandomSource(2**64),
+     "seed must be in [0, 2^64), got 18446744073709551616"),
+    ("kingman-no-teeth", lambda: sample_kingman_comb(0, RandomSource(1)),
+     "n_teeth must be at least 1"),
+    ("allelic-partition-empty",
+     lambda: sample_kingman_allelic_partition(0, 1.0, RandomSource(1), 10),
+     "n must be at least 1"),
+    ("window-tail-infinite-at-eps",
+     lambda: sample_cpp_fixed_width(IntensityModel.brownian(), 1.0, 0.0, RandomSource(1)),
+     "intensity tail at eps=0.0 must be finite (raise eps)"),
+    ("lifetime-unknown", lambda: parse_lifetime("weibull(2)"),
+     "unknown lifetime spec 'weibull(2)'"),
+    ("birth-rate-zero", lambda: PopulationModel(0.0), "birth rate must be positive and finite"),
+    ("birth-rate-infinite", lambda: PopulationModel(math.inf),
+     "birth rate must be positive and finite"),
+    ("custom-lifetime-sampled",
+     lambda: CustomLifetime(lambda t, u: np.ones_like(u)).sample_death(0.0, None),
+     "custom lifetime densities cannot be simulated, only solved"),
+    ("measure-infinite-at-a-tooth",
+     lambda: scatter_mutations(COMB, MutationMeasure(lambda t: np.where(t < 0.6, t, np.inf),
+                                                     lambda y: y), False, RandomSource(1)),
+     "mutation measure must be finite on the tooth heights"),
+    ("killing-at-comb-height", lambda: CppSample(Comb(1.0, 2.0), 2.0),
+     "killing height must exceed the comb height"),
+    ("tail-zero-at-horizon",
+     lambda: sample_cpp(IntensityModel("cut", lambda x: np.maximum(1.0 - x, 0.0),
+                                       lambda y: 1.0 - y), 1.0, 0.5, RandomSource(1)),
+     "intensity tail at the horizon must be positive and finite, got 0.0"),
 ]
 
 
@@ -148,3 +180,13 @@ CASES = [
 def test_error_path_raises_its_message(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_degenerate_arguments_take_their_early_return():
+    assert FrequencySpectrum(counts=[1, 2, 0]).tail_count(2) == 2
+    tree = comb_to_tree(COMB)
+    leaf = tree.leaves()[0].label
+    assert tree.distance(leaf, leaf) == 0.0
+    assert ClonalSet(()).covers(0.5, 0.5)
+    pushforward = mutation_rate_pushforward(MutationMeasure.homogeneous(1.0), IDENTITY)
+    assert pushforward.mass(1.0, 1.0) == 0.0

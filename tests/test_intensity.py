@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ultracomb import (ExponentialLifetime, Immortal, IntensityModel, NumericError,
+from ultracomb import (Comb, ExponentialLifetime, Immortal, IntensityModel, NumericError,
                        PopulationModel, TimeChange, ValidationError, ball_partition,
                        cpp_intensity_from_pure_birth, CustomLifetime,
                        FixedLifetime, RandomSource, mutation_rate_pushforward,
@@ -18,13 +18,15 @@ from ultracomb import (ExponentialLifetime, Immortal, IntensityModel, NumericErr
 from conftest import random_comb
 from reference_intensity import reference_solve
 
+IDENTITY = TimeChange(lambda x: x, lambda x: x)
+
 
 # ----------------------------------------------------------------------
 # solver closed forms
 
 def test_yule_closed_form():
     # immortal individuals: W' = b W, so W(t) = e^{bt}
-    sol = solve_scale_function(PopulationModel.yule(1.0), 1.0, 10_000)
+    sol = solve_scale_function(PopulationModel(1.0), 1.0, 10_000)
     assert sol.values[0] == 1.0
     assert abs(sol.values[-1] - math.e) / math.e < 1e-6
     assert np.all(np.diff(sol.values) >= 0)
@@ -32,13 +34,13 @@ def test_yule_closed_form():
 
 def test_critical_bd_closed_form():
     # unit birth and death rates: W(t) = 1 + t
-    sol = solve_scale_function(PopulationModel.birth_death(1.0, 1.0), 1.0, 10_000)
+    sol = solve_scale_function(PopulationModel(1.0, ExponentialLifetime(1.0)), 1.0, 10_000)
     err = np.abs(sol.values - (1.0 + sol.times)).max()
     assert err / 2.0 < 1e-6
 
 
 def test_initial_condition_exact():
-    for model in (PopulationModel.yule(0.7), PopulationModel.birth_death(2.0, 0.5)):
+    for model in (PopulationModel(0.7), PopulationModel(2.0, ExponentialLifetime(0.5))):
         sol = solve_scale_function(model, 3.0, 64)
         assert sol.values[0] == 1.0
 
@@ -46,7 +48,7 @@ def test_initial_condition_exact():
 def test_convergence_order_at_least_one():
     errs = []
     for steps in (250, 500, 1000):
-        sol = solve_scale_function(PopulationModel.yule(1.0), 1.0, steps)
+        sol = solve_scale_function(PopulationModel(1.0), 1.0, steps)
         errs.append(abs(sol.values[-1] - math.e))
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert min(orders) >= 1.0
@@ -66,7 +68,7 @@ def test_custom_lifetime_matches_exponential():
     dens = CustomLifetime(lambda t, u: np.exp(-np.maximum(np.asarray(u) - t, 0.0))
                           * (np.asarray(u) >= t))
     got = solve_scale_function(PopulationModel(1.0, dens), 1.0, 400)
-    want = solve_scale_function(PopulationModel.birth_death(1.0, 1.0), 1.0, 400)
+    want = solve_scale_function(PopulationModel(1.0, ExponentialLifetime(1.0)), 1.0, 400)
     assert np.abs(got.values - want.values).max() < 1e-6
 
 
@@ -78,17 +80,17 @@ def test_bad_density_raises_numeric_error():
 
 def test_solver_validation():
     with pytest.raises(ValidationError):
-        solve_scale_function(PopulationModel.yule(1.0), 1.0, 8)  # too few steps
+        solve_scale_function(PopulationModel(1.0), 1.0, 8)  # too few steps
     with pytest.raises(ValidationError):
-        solve_scale_function(PopulationModel.yule(1.0), -1.0, 64)
+        solve_scale_function(PopulationModel(1.0), -1.0, 64)
     for horizon in (math.nan, math.inf):
         with pytest.raises(ValidationError, match="finite"):
-            solve_scale_function(PopulationModel.yule(1.0), horizon, 64)
+            solve_scale_function(PopulationModel(1.0), horizon, 64)
     # 16.5 used to run on a 17-point grid
     for steps in (16.5, 64.0, True, "64"):
         with pytest.raises(ValidationError, match="steps must be an integer"):
-            solve_scale_function(PopulationModel.yule(1.0), 1.0, steps)
-    assert solve_scale_function(PopulationModel.yule(1.0), 1.0, np.int64(64)).times.size == 65
+            solve_scale_function(PopulationModel(1.0), 1.0, steps)
+    assert solve_scale_function(PopulationModel(1.0), 1.0, np.int64(64)).times.size == 65
 
 
 def test_birth_rate_checks():
@@ -155,7 +157,7 @@ def _reported_t(excinfo) -> float:
 def test_overflow_raises_without_warning():
     # the loop overflows early in its intermediate b*W and warns; the scan
     # overflows in W itself, so it may report a later grid point
-    model = PopulationModel.yule(400.0)
+    model = PopulationModel(400.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(NumericError) as want:
@@ -183,8 +185,8 @@ def test_intensity_tail_round_trips():
     xs = [0.01, 0.1, 0.5, 1.0, 5.0]
     IntensityModel.brownian().validate_on(xs)
     IntensityModel.critical_bd().validate_on(xs)
-    sol = solve_scale_function(PopulationModel.yule(1.0), 1.0, 1000)
-    grid_model = sol.intensity_model()
+    sol = solve_scale_function(PopulationModel(1.0), 1.0, 1000)
+    grid_model = IntensityModel.from_scale_grid(sol.times, sol.values)
     grid_model.validate_on([0.1, 0.4, 0.9])
     assert grid_model.support_top == 1.0
     # 1/W from the solver tracks the pure-birth closed form e^{-bt}
@@ -192,8 +194,8 @@ def test_intensity_tail_round_trips():
 
 
 def test_scale_grid_tail_is_one_over_w():
-    sol = solve_scale_function(PopulationModel.birth_death(1.0, 1.0), 2.0, 500)
-    model = sol.intensity_model()
+    sol = solve_scale_function(PopulationModel(1.0, ExponentialLifetime(1.0)), 2.0, 500)
+    model = IntensityModel.from_scale_grid(sol.times, sol.values)
     for t in (0.0, 0.7, 1.3, 2.0):
         assert model.tail(t) == pytest.approx(1.0 / (1.0 + t), rel=1e-5)
 
@@ -204,7 +206,7 @@ def test_scale_grid_tail_is_one_over_w():
 def test_time_change_identity():
     gen = np.random.default_rng(300)
     c = random_comb(gen, min_teeth=1)
-    assert time_change_comb(c, TimeChange.identity()) == c
+    assert time_change_comb(c, IDENTITY) == c
 
 
 def test_time_change_round_trip_exact():
@@ -216,6 +218,18 @@ def test_time_change_round_trip_exact():
         back = time_change_comb(time_change_comb(c, up), down)
         assert np.abs(back.heights - c.heights).max() <= 1e-12 * c.heights.max()
         assert back.positions is not None and np.array_equal(back.positions, c.positions)
+
+
+def test_time_change_takes_a_scalar_only_map():
+    # math.log1p rejects arrays, so the change is applied height by height
+    change = TimeChange(lambda t: math.log1p(t), lambda y: math.expm1(y))
+    mapped = time_change_comb(Comb(1.0, 3.0, [0.25, 0.5], [1.0, 2.0]), change)
+    assert mapped.heights.tolist() == [math.log1p(1.0), math.log1p(2.0)]
+    assert mapped.heights.tolist() == pytest.approx([0.6931471805599453, 1.0986122886681098])
+    assert mapped.origin_height == math.log1p(3.0)
+    # one tooth: numpy would convert a 1-element array with a DeprecationWarning
+    assert time_change_comb(Comb(1.0, 3.0, [0.5], [1.0]), change).heights.tolist() == [
+        math.log1p(1.0)]
 
 
 def test_time_change_rejects_decreasing():
@@ -235,7 +249,7 @@ def test_time_change_preserves_ball_structure():
         c2 = time_change_comb(c, psi)
         pts = gen.random(8) * c.interval_length
         r = float(gen.random() * c.origin_height + 1e-6)
-        assert ball_partition(c, pts, 2 * r) == ball_partition(c2, pts, 2 * float(psi(r)))
+        assert ball_partition(c, pts, 2 * r) == ball_partition(c2, pts, 2 * float(psi.forward(r)))
 
 
 def test_pure_birth_intensity_tail():
@@ -280,7 +294,7 @@ def test_fixed_width_window_on_a_finite_support():
 # measure pushforwards
 
 def test_pushforward_identity():
-    pf = mutation_rate_pushforward(MutationMeasure.homogeneous(2.0), TimeChange.identity())
+    pf = mutation_rate_pushforward(MutationMeasure.homogeneous(2.0), IDENTITY)
     assert pf.mass(0.25, 1.5) == pytest.approx(2.0 * 1.25)
 
 
@@ -309,4 +323,4 @@ def test_pushforward_finite_mass_constant_rate():
 
 def test_pushforward_rejects_decreasing_cumulative():
     with pytest.raises(ValidationError):
-        mutation_rate_pushforward(lambda t: -t, TimeChange.identity())
+        mutation_rate_pushforward(lambda t: -t, IDENTITY)

@@ -162,7 +162,8 @@ def test_cpp_mean_width_brownian():
     # tail 1/(2x) at the horizon T gives mean width 2T
     reps = 4000
     rng = RandomSource(15)
-    widths = [sample_cpp(IntensityModel.brownian(), 1.0, 0.05, rng.spawn(i)).width
+    model = IntensityModel.brownian()
+    widths = [sample_cpp(model, 1.0, 0.05, rng.spawn(i)).comb.interval_length
               for i in range(reps)]
     assert abs(np.mean(widths) - 2.0) < 0.1
 
@@ -170,7 +171,8 @@ def test_cpp_mean_width_brownian():
 def test_cpp_width_is_exponential():
     reps = 2000
     rng = RandomSource(16)
-    widths = [sample_cpp(IntensityModel.critical_bd(), 1.0, 0.0, rng.spawn(i)).width
+    model = IntensityModel.critical_bd()
+    widths = [sample_cpp(model, 1.0, 0.0, rng.spawn(i)).comb.interval_length
               for i in range(reps)]
     assert stats.kstest(np.asarray(widths) / 2.0, "expon").pvalue > 0.01
 
@@ -184,7 +186,7 @@ def test_cpp_teeth_density_finite_intensity():
     for i in range(reps):
         s = sample_cpp(IntensityModel.critical_bd(), 1.0, 0.0, rng.spawn(i))
         teeth += s.comb.n_teeth
-        width += s.width
+        width += s.comb.interval_length
     assert abs(teeth / width - 0.5) < 0.02
 
 
@@ -216,14 +218,16 @@ def test_cpp_heights_below_horizon_and_killing_above():
 
 
 def test_cpp_grid_model_killing_unresolved():
-    sol = solve_scale_function(PopulationModel.yule(1.0), 1.0, 200)
-    s = sample_cpp(sol.intensity_model(), 1.0, 0.0, RandomSource(20))
+    sol = solve_scale_function(PopulationModel(1.0), 1.0, 200)
+    s = sample_cpp(IntensityModel.from_scale_grid(sol.times, sol.values), 1.0, 0.0,
+                   RandomSource(20))
     assert s.killing_height == math.inf
 
 
 def test_cpp_horizon_past_support_top_is_rejected_before_any_draw():
     # a grid model's tail is known only up to its horizon
-    model = solve_scale_function(PopulationModel.yule(1.0), 1.0, 200).intensity_model()
+    sol = solve_scale_function(PopulationModel(1.0), 1.0, 200)
+    model = IntensityModel.from_scale_grid(sol.times, sol.values)
     rng = RandomSource(20)
     for horizon in (1.0 + 1e-12, 3.0):
         with pytest.raises(ValidationError, match="support top"):
@@ -317,7 +321,8 @@ def test_reduction_matches_solved_intensity():
         tree = sample_splitting_tree(1.0, Immortal(), 1.0, rng.spawn(i))
         reduced.extend(reduce_population_tree(tree, 1.0).heights)
         i += 1
-    model = solve_scale_function(PopulationModel.yule(1.0), 1.0, 4000).intensity_model()
+    sol = solve_scale_function(PopulationModel(1.0), 1.0, 4000)
+    model = IntensityModel.from_scale_grid(sol.times, sol.values)
     nu0, nuT = model.tail(0.0), model.tail(1.0)
 
     def cdf(x):

@@ -453,7 +453,7 @@ def test_a_block_reads_as_its_replicates_side_by_side(model):
 def test_population_runs_share_their_full_blocks_across_reps():
     def blocks(reps):
         return _tail_spectrum_blocks("brownian", 1.0, 20.0, 1e-2, [1.0], reps, RandomSource(2800),
-                                     range(-(-reps // _POP_BLOCK)))
+                                     range(reps))
 
     short, long = blocks(_POP_BLOCK + 3), blocks(2 * _POP_BLOCK)
     assert [w.size for w, _ in short] == [_POP_BLOCK, 3]
