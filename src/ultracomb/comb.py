@@ -40,63 +40,71 @@ _FACES = ("left", "right")
 # the one relative tolerance of validate_ultrametric and comb_from_ultrametric
 _ULTRAMETRIC_RTOL = 1e-9
 
-# teeth per block of the range-max pass: each query scans at most two
-# blocks directly and skips whole blocks through the sparse table
+# teeth per block of the range-max pass: each query scans the block's
+# worth of teeth from its start and, failing that, skips whole blocks
+# through the sparse table and scans the one it lands on
 _BLOCK = 32
 _OFFSETS = np.arange(_BLOCK)
-# queries scanned at once: each holds 2 * _BLOCK indices and heights
-# (about 1 KB), so a batch of any size scans in about 1 MB
+# queries scanned at once: each holds _BLOCK indices and heights (about
+# 0.5 KB), so a batch of any size scans in about 0.5 MB
 _SCAN = 1024
+
+
+def _first_in_rows(heights: np.ndarray, row: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Per query: the first index of ``row .. row + _BLOCK - 1`` whose
+    height is > its level (n if none), ``_SCAN`` queries at a time.
+    Indices past the last tooth read its height, which never moves a
+    first hit of a row that starts at or before n: one that runs past
+    tooth n-1 holds it earlier, and one from n answers n either way."""
+    n = heights.size
+    first = np.empty(row.size, dtype=np.int64)
+    for lo in range(0, row.size, _SCAN):
+        q = slice(lo, lo + _SCAN)
+        hits = heights.take(row[q, None] + _OFFSETS, mode="clip") > levels[q, None]
+        first[q] = np.where(hits.any(axis=1), row[q] + hits.argmax(axis=1), n)
+    return first
 
 
 def _next_above(heights: np.ndarray, starts: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Per (start, level): the first index >= start whose height is >
     level (n if none).
 
-    Heights are cut into blocks of ``_BLOCK`` teeth; ``table[k, b]`` is
-    the tallest tooth of blocks ``b .. b + 2**k - 1``, or NaN where that
-    run leaves the comb, which no level skips, not even inf (a sparse
-    table over block maxima, as in Bender and Farach-Colton, "The LCA
-    problem revisited", LATIN 2000), built for this call only:
-    ``(n / _BLOCK) log2(n / _BLOCK)`` floats.  Each query skips the blocks
-    after its start's that are no taller than its level, one sparse-table
-    step per level, then scans two rows of ``_BLOCK`` heights: from its
-    start, and the block it landed on, ``_SCAN`` queries at a time.
-    Answers equal a direct scan.
+    Each query first scans the ``_BLOCK`` teeth from its start, where
+    most clades end.  For the rest, heights are cut into blocks of
+    ``_BLOCK`` teeth; ``table[k, b]`` is the tallest tooth of blocks
+    ``b .. b + 2**k - 1``, or NaN where that run leaves the comb, which
+    no level skips, not even inf (a sparse table over block maxima, as in
+    Bender and Farach-Colton, "The LCA problem revisited", LATIN 2000),
+    built for this call only: ``(n / _BLOCK) log2(n / _BLOCK)`` floats.
+    Such a query skips the blocks after its start's that are no taller
+    than its level, one sparse-table step per level, and scans the block
+    it lands on.  Answers equal a direct scan.
     """
-    starts = np.maximum(np.asarray(starts, dtype=np.int64), 0)
-    levels = np.asarray(levels, dtype=float)
+    shape = np.shape(starts)
     n = heights.size
-    n_blocks = -(-n // _BLOCK)
-    table = np.full((max(1, n_blocks.bit_length()), n_blocks + 1), np.nan)
-    table[0, :n_blocks] = np.maximum.reduceat(heights, np.arange(0, n, _BLOCK))
-    for k in range(1, table.shape[0]):
-        span = 1 << k
-        half = span >> 1
-        np.maximum(table[k - 1, :n_blocks + 1 - span],
-                   table[k - 1, half:n_blocks + 1 - half], out=table[k, :n_blocks + 1 - span])
-    out = np.full(starts.shape, n, dtype=np.int64)
-    live = starts < n
-    start, level = starts[live], levels[live]
-    # binary lifting over block maxima, skipping every run of blocks no
-    # taller than the level, longest runs first; block == n_blocks lies
-    # past the last tooth
-    block = start // _BLOCK + 1
-    for k in range(table.shape[0] - 1, -1, -1):
-        block += (table[k, block] <= level).astype(np.int64) << k
-    # the first hit is in the row from the start or, failing that, in the
-    # block landed on.  Past the last tooth its height repeats, which
-    # never moves a first hit: a row that runs past tooth n-1 holds it
-    # earlier, and one that lands past it has no hit
-    first = np.empty(start.size, dtype=np.int64)
-    for lo in range(0, start.size, _SCAN):
-        q = slice(lo, lo + _SCAN)
-        rows = np.array((start[q], block[q] * _BLOCK)).T[:, :, None] + _OFFSETS
-        at = rows.reshape(-1, 2 * _BLOCK)
-        hits = heights.take(at, mode="clip") > level[q, None]
-        first[q] = np.where(hits.any(axis=1), at[np.arange(at.shape[0]), hits.argmax(axis=1)], n)
-    out[live] = first
-    return out
+    if not n:
+        return np.zeros(shape, dtype=np.int64)
+    start = np.minimum(np.maximum(np.asarray(starts, dtype=np.int64).ravel(), 0), n)
+    levels = np.asarray(levels, dtype=float).ravel()
+    first = _first_in_rows(heights, start, levels)
+    miss = np.flatnonzero(first == n)
+    if miss.size:
+        # columns up to n // _BLOCK + 1, the block after a start at n
+        n_blocks = -(-n // _BLOCK)
+        table = np.full((max(1, n_blocks.bit_length()), n // _BLOCK + 2), np.nan)
+        table[0, :n_blocks] = np.maximum.reduceat(heights, np.arange(0, n, _BLOCK))
+        for k in range(1, table.shape[0]):
+            half = 1 << (k - 1)
+            np.maximum(table[k - 1, :-half], table[k - 1, half:], out=table[k, :-half])
+        # binary lifting over block maxima, skipping every run of blocks no
+        # taller than the level, longest runs first; the row from the start
+        # covered the rest of its block
+        block, level = start[miss] // _BLOCK + 1, levels[miss]
+        for k in range(table.shape[0] - 1, -1, -1):
+            block += (table[k, block] <= level) << k
+        # a block landed past the last tooth holds no hit
+        first[miss] = np.minimum(_first_in_rows(heights, block * _BLOCK, level), n)
+    return first.reshape(shape)
 
 
 class Comb:

@@ -386,8 +386,9 @@ def time_change_comb(comb: Comb, change: TimeChange) -> Comb:
 
     A decreasing map would reverse the event order and is rejected;
     decreasing bijections belong in measure pushforwards instead.
-    ``change.forward`` is applied to one height at a time, so a scalar
-    function such as ``math.log1p`` serves.
+    ``change.forward`` is called once on the heights array, and on one
+    height at a time only if that fails, so a scalar function such as
+    ``math.log1p`` serves.
     """
     new_heights = _elementwise(change.forward)(comb.heights)
     new_origin = float(change.forward(comb.origin_height))
@@ -483,6 +484,18 @@ def cpp_intensity_from_pure_birth(birth_cumulative: Callable, change: TimeChange
 
 
 def _elementwise(fn: Callable) -> Callable:
-    """A scalar function extended to arrays element by element."""
+    """A function extended to arrays: called once on the whole array, and
+    element by element only if that call raises a TypeError or
+    ValueError or returns a result of another shape (a scalar-only map)."""
     vec = np.vectorize(fn, otypes=[float])
-    return lambda x: fn(x) if np.ndim(x) == 0 else vec(x)
+
+    def lifted(x):
+        if np.ndim(x) == 0:
+            return fn(x)
+        try:
+            y = np.asarray(fn(x), dtype=float)
+        except (TypeError, ValueError):
+            return vec(x)
+        return y if y.shape == np.shape(x) else vec(x)
+
+    return lifted

@@ -291,6 +291,23 @@ def _lay_out(widths: np.ndarray) -> tuple[np.ndarray, float]:
     return origins, float(origins[-1] + widths[-1])
 
 
+def _merge(at: np.ndarray, old: tuple[np.ndarray, ...], new: tuple[np.ndarray, ...]
+           ) -> tuple[np.ndarray, ...]:
+    """``np.insert(o, at, v)`` for each old array o and its new values v,
+    for indices ``at`` sorted ascending: the new values go to ``at +
+    arange(m)`` and the old ones, in order, to every other slot."""
+    dest = at + np.arange(at.size)
+    keep = np.ones(old[0].size + at.size, dtype=bool)
+    keep[dest] = False
+    merged = []
+    for o, v in zip(old, new):
+        out = np.empty(keep.size, dtype=o.dtype)
+        out[dest] = v
+        out[keep] = o
+        merged.append(out)
+    return tuple(merged)
+
+
 def _insert_in_regions(gen, edges: np.ndarray, hgt: np.ndarray, x: np.ndarray,
                        length: np.ndarray, h: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -309,7 +326,7 @@ def _insert_in_regions(gen, edges: np.ndarray, hgt: np.ndarray, x: np.ndarray,
         new = x[k] + (u - (cum[k] - length[k]))
         at = np.minimum(np.searchsorted(edges, new), edges.size - 1)
         if np.all(edges[at] > new) and np.all(new[1:] > new[:-1]):
-            return new, np.insert(edges, at, new), np.insert(hgt, at, h)
+            return (new, *_merge(at, (edges, hgt), (new, h)))
     raise ResourceError("could not draw distinct interior positions")
 
 
@@ -363,7 +380,7 @@ def _band_comb(model: IntensityModel, measure: MutationMeasure, horizon: float, 
                     np.nextafter(np.append(mark_h, np.full(size, horizon))[branch], 0.0))
     # branches by position, origins always active, and their shallowest atoms
     at = np.searchsorted(origins, pos)
-    bx, bz = np.insert(origins, at, pos), np.insert(np.full(size, -math.inf), at, depth[:n])
+    bx, bz = _merge(at, (origins, np.full(size, -math.inf)), (pos, depth[:n]))
     for top, lo, hi, shift, rate in zip(tops, nu_t, nu_b, m_b, (nu_b - nu_t) * np.exp(-m_b)):
         x, tall = bx[bz < top], edges[hgt >= top]
         stop = tall[np.searchsorted(tall, x, side="right")]  # regions share ends or are disjoint
@@ -416,8 +433,9 @@ def _tail_spectrum_block(model_name: str, theta: float, horizon: float, eps: flo
     start, carriers = _carriers(comb, mutations)
     qs = np.asarray(qs)
     hits = carriers[:, None] == qs if model_name == "critical-bd" else carriers[:, None] >= qs
-    counts = np.zeros((size, qs.size), dtype=np.int64)
-    np.add.at(counts, np.searchsorted(origins, start, side="right") - 1, hits)
+    clade, col = np.nonzero(hits)
+    rep = np.searchsorted(origins, start[clade], side="right") - 1
+    counts = np.bincount(rep * qs.size + col, minlength=size * qs.size).reshape(size, qs.size)
     return np.diff(np.append(origins, comb.interval_length)), counts
 
 

@@ -1,6 +1,7 @@
 """The summary of tools/bench_pairs.py on fixed numbers."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,32 @@ def test_every_declared_metric_is_summarized():
     assert set(out) == {"a", "b"}
     assert (out["a"]["change_wins"], out["a"]["base_wins"], out["a"]["resolved"]) == (0, 0, False)
     assert (out["b"]["change_wins"], out["b"]["resolved"]) == (3, True)
+
+
+def test_setup_only_pairs_follow_the_timed_ones(monkeypatch, tmp_path):
+    runs = []
+
+    names = [m["name"] for m in
+             json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def fake_run(checkout, workload, seed, seconds):
+        runs.append((checkout == bench_pairs.ROOT, seed, seconds))
+        value = 2.0 if checkout == bench_pairs.ROOT else 3.0
+        return {"metrics": {name: {"value": value} for name in names}, "correct": True}
+
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: "c0ffee" if args[0] == "rev-parse" else "")
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--base", "HEAD", "--workload", "esf", "--pairs", "3",
+                             "--seconds", "35", "--seed", "7", "--out", str(out)]) == 0
+    # three timed pairs, then three 1 s pairs on the same seeds, each side
+    # first in turn
+    assert [(s, t) for _, s, t in runs] == [(s, t) for t in (35, 1.0) for s in (7, 7, 8, 8, 9, 9)]
+    assert [change for change, _, _ in runs] == [False, True, True, False, False, True] * 2
+    entry = json.loads(out.read_text())["workloads"]["esf"]
+    setup = entry["setup_only"]
+    assert set(setup) == {"seconds", "pairs", "summary"} and setup["seconds"] == 1.0
+    assert [p["seed"] for p in setup["pairs"]] == [p["seed"] for p in entry["pairs"]] == [7, 8, 9]
+    assert [p["first"] for p in setup["pairs"]] == ["base", "change", "base"]
+    assert set(setup["summary"]) == set(entry["summary"])
+    assert setup["summary"]["setup_s"]["change_wins"] == 3

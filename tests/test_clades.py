@@ -116,6 +116,36 @@ def test_an_infinite_level_finds_no_taller_tooth(n):
     assert got.tolist() == np.where(even, n, starts).tolist()
 
 
+def direct_next_taller(heights, start: int, level: float) -> int:
+    return next((i for i in range(max(start, 0), heights.size) if heights[i] > level), heights.size)
+
+
+@pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 64, 65, 1000])
+def test_two_pass_range_max_at_block_boundaries(n):
+    # the first scan covers _BLOCK teeth from the start; hits one short of,
+    # at and one block past its end, or past the last tooth, take the
+    # lifted second pass
+    starts = sorted({-3, 0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, n - 2 * _BLOCK - 1,
+                     n - _BLOCK - 1, n - _BLOCK, n - 2, n - 1, n, n + 7})
+    levels = [-np.inf, 0.5, 1.0, 2.0, np.inf]
+    spikes = {s + d for s in starts for d in (_BLOCK - 1, _BLOCK, 2 * _BLOCK)} | {None}
+    pos = np.arange(1, n + 1) / (n + 1)
+    for spike in spikes:
+        heights = np.ones(n)  # tied everywhere but at the spike
+        if spike is not None and 0 <= spike < n:
+            heights[spike] = 2.0
+        c = Comb(1.0, 4.0, pos, heights)
+        s, v = np.array([(s, v) for s in starts for v in levels]).T
+        got = c.next_taller_batch(s.astype(np.int64), v)
+        assert got.tolist() == [direct_next_taller(heights, int(a), b) for a, b in zip(s, v)]
+    gen = np.random.default_rng(911)
+    heights = gen.integers(1, 4, n).astype(float)
+    s = np.repeat(starts, 5)
+    v = np.tile(levels, len(starts))
+    got = Comb(1.0, 4.0, pos, heights).next_taller_batch(s, v)
+    assert got.tolist() == [direct_next_taller(heights, int(a), b) for a, b in zip(s, v)]
+
+
 def test_range_max_pass_is_small():
     c = make_comb(np.random.default_rng(904), 10 ** 5, False)
     # slotted: a comb cannot grow a cache

@@ -232,6 +232,21 @@ def test_time_change_takes_a_scalar_only_map():
         math.log1p(1.0)]
 
 
+def test_time_change_calls_an_array_map_once_on_the_heights():
+    shapes = []
+
+    def forward(t):
+        shapes.append(np.shape(t))
+        return np.sqrt(t)
+
+    c = random_comb(np.random.default_rng(303), min_teeth=5)
+    mapped = time_change_comb(c, TimeChange(forward, np.square))
+    # one call on the heights array, one on the origin height
+    assert shapes == [(c.n_teeth,), ()]
+    assert np.array_equal(mapped.heights, np.sqrt(c.heights))
+    assert mapped.origin_height == math.sqrt(c.origin_height)
+
+
 def test_time_change_rejects_decreasing():
     gen = np.random.default_rng(302)
     c = random_comb(gen, min_teeth=2)

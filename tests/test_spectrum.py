@@ -13,7 +13,8 @@ from ultracomb import (Comb, FrequencySpectrum, IntensityModel, MutationMeasure,
                        sample_esf_spectra, sample_kingman_allelic_partition,
                        spectrum_of_partition)
 from ultracomb.spectrum import (_BAND_RATIO, _POP_BLOCK, _band_comb, _critical_bd_block,
-                                _tail_spectrum_block, _tail_spectrum_blocks)
+                                _insert_in_regions, _merge, _tail_spectrum_block,
+                                _tail_spectrum_blocks)
 
 from reference_population import (critical_bd_rain, full_brownian_rain, pruned,
                                    replicate_statistics, split_block)
@@ -417,6 +418,52 @@ def test_band_sampler_keeps_positions_distinct_or_raises():
     # shrinking; the collision guard stops the ladder instead of growing it
     with pytest.raises(ResourceError, match="distinct interior positions"):
         _band_comb(model, measure, 5.0, 1e-300, 1, RandomSource(1).spawn(0).gen)
+
+
+def test_merge_equals_np_insert_on_both_arrays():
+    gen = np.random.default_rng(2600)
+    ends = set()
+    for n, m in [(0, 0), (0, 3), (5, 0), (1, 1), (1, 8), (40, 7), (300, 120)]:
+        old = np.sort(gen.random(n)), gen.random(n)
+        # new positions spill past both ends of the old ones
+        new = np.sort(gen.uniform(-0.5, 1.5, m)), gen.random(m)
+        at = np.searchsorted(old[0], new[0])
+        ends |= {(n, i) for i in at.tolist() if i in (0, n)}
+        copies = [a.copy() for a in old]
+        got = _merge(at, old, new)
+        assert [a.tolist() for a in got] == [np.insert(o, at, v).tolist() for o, v in zip(old, new)]
+        assert all(np.array_equal(a, b) for a, b in zip(old, copies))
+    assert {(1, 0), (1, 1), (40, 0), (40, 40), (300, 0), (300, 300)} <= ends
+    # repeated indices keep the new values in their order
+    got = _merge(np.array([0, 0, 2, 2]), (np.array([1.0, 2.0]),), (np.array([-2.0, -1.0, 3.0, 4.0]),))
+    assert got[0].tolist() == [-2.0, -1.0, 1.0, 2.0, 3.0, 4.0]
+
+
+class ScriptedUniforms:
+    """A generator whose ``random`` returns the given draws in turn."""
+
+    def __init__(self, *draws):
+        self.draws = [np.array(d) for d in draws]
+        self.calls = 0
+
+    def random(self, size):
+        self.calls += 1
+        u = self.draws.pop(0)
+        assert u.size == size
+        return u
+
+
+def test_insert_in_regions_redraws_a_forced_collision():
+    # one region [0, 1) around a tooth at 0.5, between sentinels at 0 and 1
+    edges, hgt = np.array([0.0, 0.5, 1.0]), np.array([math.inf, 1.0, math.inf])
+    gen = ScriptedUniforms([0.5, 0.25], [0.3, 0.3], [0.75, 0.25])
+    new, e, h = _insert_in_regions(gen, edges, hgt, np.array([0.0]), np.array([1.0]),
+                                   np.array([2.0, 3.0]))
+    # a new tooth on the old one, then two new teeth on one spot, are redrawn
+    assert gen.calls == 3
+    assert new.tolist() == [0.25, 0.75]
+    assert e.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert h.tolist() == [math.inf, 2.0, 1.0, 3.0, math.inf]
 
 
 @pytest.mark.parametrize("model", ["brownian", "critical-bd"])

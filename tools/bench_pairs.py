@@ -10,9 +10,12 @@ and the side that runs first alternates from pair to pair.  For each
 end-to-end metric of ``BENCHMARK.json`` the output records every pair,
 each side's median and quartiles, how many pairs each side won (ties
 count for neither), and whether the result is resolved: the medians
-differ by more than the base's interquartile range.  The output file
-holds one entry per workload; running the tool again for another
-workload adds its entry.  Nothing under ``perfbench/`` is edited.
+differ by more than the base's interquartile range.  After the timed
+pairs, as many ``--seconds 1`` pairs on the same seeds measure setup
+alone; they are recorded under ``setup_only`` with the same summary.
+The output file holds one entry per workload; running the tool again
+for another workload adds its entry.  Nothing under ``perfbench/`` is
+edited.
 """
 
 from __future__ import annotations
@@ -77,6 +80,24 @@ def _values(result: dict) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def _pairs(base_dir: Path, workload: str, seed: int, count: int, seconds: float,
+           better: dict[str, str]) -> list[dict]:
+    """``count`` alternating pairs of ``seconds``-long runs, pair i on seed + i."""
+    pairs = []
+    for i in range(count):
+        sides = [("base", base_dir), ("change", ROOT)]
+        if i % 2:
+            sides.reverse()
+        results = {name: _run(path, workload, seed + i, seconds) for name, path in sides}
+        pairs.append({"seed": seed + i, "first": sides[0][0],
+                      **{name: _values(r) for name, r in results.items()},
+                      "correct": {name: r["correct"] for name, r in results.items()}})
+        print(f"{seconds:g} s pair {i + 1}/{count} seed {seed + i}: " + ", ".join(
+            f"{m} {pairs[-1]['base'][m]:.4g}/{pairs[-1]['change'][m]:.4g}"
+            for m in better), file=sys.stderr)
+    return pairs
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", required=True, help="git revision to compare against")
@@ -93,24 +114,12 @@ def main(argv: list[str] | None = None) -> int:
     base_commit = _git("rev-parse", "--verify", args.base + "^{commit}")
     # a terminated run still removes its worktree
     signal.signal(signal.SIGTERM, lambda *_: sys.exit("bench_pairs: terminated"))
-    pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         base_dir = Path(tmp) / "base"
         _git("worktree", "add", "--detach", str(base_dir), base_commit)
         try:
-            for i in range(args.pairs):
-                seed = args.seed + i
-                sides = [("base", base_dir), ("change", ROOT)]
-                if i % 2:
-                    sides.reverse()
-                results = {name: _run(path, args.workload, seed, args.seconds)
-                           for name, path in sides}
-                pairs.append({"seed": seed, "first": sides[0][0],
-                              **{name: _values(r) for name, r in results.items()},
-                              "correct": {name: r["correct"] for name, r in results.items()}})
-                print(f"pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
-                    f"{m} {pairs[-1]['base'][m]:.4g}/{pairs[-1]['change'][m]:.4g}"
-                    for m in better), file=sys.stderr)
+            pairs = _pairs(base_dir, args.workload, args.seed, args.pairs, args.seconds, better)
+            setup = _pairs(base_dir, args.workload, args.seed, args.pairs, 1.0, better)
         finally:
             _git("worktree", "remove", "--force", str(base_dir))
     out_path = Path(args.out)
@@ -122,6 +131,7 @@ def main(argv: list[str] | None = None) -> int:
         "change_commit": _git("rev-parse", "HEAD"),
         "change_dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
         "seconds": args.seconds, "pairs": pairs, "summary": summarize(pairs, better),
+        "setup_only": {"seconds": 1.0, "pairs": setup, "summary": summarize(setup, better)},
     }
     out_path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0

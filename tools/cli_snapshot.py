@@ -11,7 +11,7 @@ fixed seed and small sizes (a few seconds in total).  The commands run
 inside OUTDIR with relative paths, so the configurations embedded in
 the outputs do not depend on where OUTDIR is.
 
-Three files come from library calls instead.  No CLI command rebuilds an
+Four files come from library calls instead.  No CLI command rebuilds an
 ultrametric, so ``ultrametric.json`` holds the comb and placements
 ``comb_from_ultrametric`` returns for three seeded matrices.  No CLI
 command prints clades, carrier masses or clonal intervals, so
@@ -20,7 +20,9 @@ command prints clades, carrier masses or clonal intervals, so
 combs with their mutation rain.  The population CSVs print rounded
 estimates, so ``band.json`` holds the comb and rain of the Brownian band
 sampler, ``_band_comb``, for a block of two replicates side by side at
-three seeds and each of two eps, bit for bit.
+three seeds and each of two eps, bit for bit, and ``tail_counts.json``
+holds the widths and per-replicate tail counts that
+``_tail_spectrum_blocks`` returns for both models at three seeds.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from ultracomb import (IntensityModel, MutationMeasure, RandomSource, assign_all
                        clonal_set, comb_from_ultrametric, population_spectrum, sample_cpp,
                        sample_cpp_fixed_width, sample_kingman_comb, scatter_mutations)
 from ultracomb.cli import main
-from ultracomb.spectrum import _band_comb
+from ultracomb.spectrum import _band_comb, _tail_spectrum_blocks
 
 MODEL_SPEC = {"birth_rate": 2.0, "lifetime": "exponential(1)", "T": 1.5, "steps": 400}
 # a fixed lifetime takes the solver's step-by-step loop, not the scan
@@ -177,6 +179,21 @@ def band_draws() -> dict:
     return out
 
 
+def tail_counts() -> dict:
+    """Per replicate, the width and the allele counts at q = 1, 2, 4 that
+    the blocks of 10 population replicates (a full block and a partial
+    one) read at T = 20, theta = 1 and eps = 1e-3, for three seeds of
+    each model (JSON floats round-trip)."""
+    out = {}
+    for model in ("critical-bd", "brownian"):
+        for seed in (61, 62, 63):
+            blocks = _tail_spectrum_blocks(model, 1.0, 20.0, 1e-3, [1.0, 2.0, 4.0], 10,
+                                           RandomSource(seed), range(10))
+            widths, counts = (np.concatenate(column) for column in zip(*blocks))
+            out[f"{model}-seed-{seed}"] = {"widths": widths.tolist(), "counts": counts.tolist()}
+    return out
+
+
 def snapshot(outdir: str) -> int:
     """Run every command into ``outdir``; return the number that failed."""
     os.makedirs(outdir, exist_ok=True)
@@ -199,6 +216,8 @@ def snapshot(outdir: str) -> int:
             json.dump(clade_readings(), fh, sort_keys=True)
         with open("band.json", "w") as fh:
             json.dump(band_draws(), fh, sort_keys=True)
+        with open("tail_counts.json", "w") as fh:
+            json.dump(tail_counts(), fh, sort_keys=True)
     finally:
         os.chdir(cwd)
     return failed
