@@ -299,13 +299,10 @@ def _merge(at: np.ndarray, old: tuple[np.ndarray, ...], new: tuple[np.ndarray, .
     dest = at + np.arange(at.size)
     keep = np.ones(old[0].size + at.size, dtype=bool)
     keep[dest] = False
-    merged = []
-    for o, v in zip(old, new):
-        out = np.empty(keep.size, dtype=o.dtype)
-        out[dest] = v
-        out[keep] = o
-        merged.append(out)
-    return tuple(merged)
+    merged = tuple(np.empty(keep.size, dtype=o.dtype) for o in old)
+    for out, o, v in zip(merged, old, new):
+        out[dest], out[keep] = v, o
+    return merged
 
 
 def _insert_in_regions(gen, edges: np.ndarray, hgt: np.ndarray, x: np.ndarray,

@@ -48,7 +48,6 @@ def test_every_declared_metric_is_summarized():
 
 def test_setup_only_pairs_follow_the_timed_ones(monkeypatch, tmp_path):
     runs = []
-
     names = [m["name"] for m in
              json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
